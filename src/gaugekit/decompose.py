@@ -8,7 +8,7 @@ failures surface as typed errors, never as guesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .exact import CyclicElem, is_prime, subgroup_generator
@@ -498,30 +498,21 @@ def decompose(
     Decomposition or raises a typed error."""
     if isinstance(manifold, WallManifold):
         return gauge_decompose_wall(manifold, group, localize_away, tables)
-    if isinstance(manifold, SphereBundle):
-        d = gauge_decompose_sphere_bundle(manifold, group, tables)
-        away = _away(localize_away)
-        if away:
-            d = Decomposition(
-                localize(d.suspension, away),
-                localize(d.gauge, away),
-                d.theorem_used,
-                away,
-                d.base_space,
-            )
-        return d
     if isinstance(manifold, N2Manifold):
         return gauge_decompose_n2(manifold, group, localize_away, tables)
-    if isinstance(manifold, GeneralComplex):
+    if isinstance(manifold, SphereBundle):
+        d = gauge_decompose_sphere_bundle(manifold, group, tables)
+    elif isinstance(manifold, GeneralComplex):
         d = gauge_decompose_complex(manifold, group, tables)
-        away = _away(localize_away)
-        if away:
-            d = Decomposition(
-                localize(d.suspension, away),
-                localize(d.gauge, away),
-                d.theorem_used,
-                away,
-                d.base_space,
-            )
+    else:
+        raise TypeError(f"not a manifold or complex description: {manifold!r}")
+    # these theorems are integral; localization splits their results afterwards
+    away = _away(localize_away)
+    if not away:
         return d
-    raise TypeError(f"not a manifold or complex description: {manifold!r}")
+    return replace(
+        d,
+        suspension=localize(d.suspension, away),
+        gauge=localize(d.gauge, away),
+        localized_away=away,
+    )

@@ -161,7 +161,11 @@ def parse_job_text(text: str, source: str = "<string>") -> Job:
 
 def parse_job_file(path: Path | str) -> Job:
     path = Path(path)
-    return parse_job_text(path.read_text(encoding="utf-8"), str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_job_text(text, str(path))
 
 
 def _build_wall(scalars: dict[str, str]) -> WallManifold:

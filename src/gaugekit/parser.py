@@ -11,8 +11,10 @@ renderer on canonical expressions).
               | "(" expr ")"
               | NAME ["(" INT ")"]
 
-Chains may not mix "x" and "v" without parentheses.  Parsing normalizes,
-so parse(render_text(e)) == e for every canonical expression e.
+Chains may not mix "x" and "v" without parentheses.  The parser builds
+bottom-up through the smart constructors, so every argument it passes is
+already canonical and so is the result: parse(render_text(e)) == e for
+every canonical expression e.
 """
 
 from __future__ import annotations

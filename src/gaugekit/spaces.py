@@ -7,8 +7,13 @@ product lists are flattened and sorted under one fixed total order,
 singleton combinations collapse, loop and suspension powers merge,
 suspensions push through wedges and shift spheres and suspended projective
 planes, and a two-cell complex whose attaching class is the zero residue
-splits into the wedge of its cells.  The smart constructors below always
-return normalized trees; `normalize` re-canonicalizes an arbitrary tree.
+splits into the wedge of its cells.
+
+The smart constructors take canonical arguments and return canonical
+trees, each by one rewriting step at the top of the tree.  `normalize` and
+`localize` accept any tree: both rebuild it bottom-up through the smart
+constructors in a single walk, and `localize` also splits the two-cell
+complexes whose attaching class dies away from its primes.
 """
 
 from __future__ import annotations
@@ -186,7 +191,7 @@ def sort_key(e: SpaceExpr):
     return (rank, tuple(sort_key(p) for p in e.parts))
 
 
-# --- smart constructors -----------------------------------------------------
+# --- smart constructors (canonical arguments, one rewriting step) -----------
 
 def two_cell(bottom: int, attach: CyclicElem) -> SpaceExpr:
     """Two-cell complex S^bottom cup e^(2*bottom); the zero attaching class
@@ -199,11 +204,13 @@ def two_cell(bottom: int, attach: CyclicElem) -> SpaceExpr:
 
 
 def attached(skeleton: SpaceExpr, top: int, label: str | None = None) -> SpaceExpr:
-    return AttachedComplex(normalize(skeleton), top, label)
+    """An empty label is no label: both render alike, so they must be equal."""
+    return AttachedComplex(skeleton, top, label or None)
 
 
 def gauge(base: SpaceExpr, label: str = "k", group: str | None = None) -> Gauge:
-    return Gauge(normalize(base), label, group)
+    """An empty group annotation is no annotation, as for `attached`."""
+    return Gauge(base, label, group or None)
 
 
 def _flatten(cls, parts) -> list[SpaceExpr]:
@@ -217,7 +224,7 @@ def _flatten(cls, parts) -> list[SpaceExpr]:
 
 
 def wedge(*parts: SpaceExpr) -> SpaceExpr:
-    flat = _flatten(Wedge, (normalize(p) for p in parts))
+    flat = _flatten(Wedge, parts)
     if not flat:
         raise ValueError("wedge of no spaces")
     if len(flat) == 1:
@@ -226,7 +233,7 @@ def wedge(*parts: SpaceExpr) -> SpaceExpr:
 
 
 def product(*parts: SpaceExpr) -> SpaceExpr:
-    flat = _flatten(Product, (normalize(p) for p in parts))
+    flat = _flatten(Product, parts)
     if not flat:
         raise ValueError("product of no spaces")
     if len(flat) == 1:
@@ -235,75 +242,62 @@ def product(*parts: SpaceExpr) -> SpaceExpr:
 
 
 def loop(power: int, space: SpaceExpr) -> SpaceExpr:
-    inner = normalize(space)
-    if isinstance(inner, Loop):
-        return Loop(power + inner.power, inner.space)
-    return Loop(power, inner)
+    if isinstance(space, Loop):
+        return Loop(power + space.power, space.space)
+    return Loop(power, space)
 
 
 def suspension(power: int, space: SpaceExpr) -> SpaceExpr:
-    inner = normalize(space)
-    if isinstance(inner, Suspension):
-        return suspension(power + inner.power, inner.space)
-    if isinstance(inner, Sphere):
-        return Sphere(inner.n + power)
-    if isinstance(inner, SuspCP2):
-        return SuspCP2(inner.k + power)
-    if isinstance(inner, Wedge):
-        return wedge(*(suspension(power, p) for p in inner.parts))
-    return Suspension(power, inner)
+    if isinstance(space, Suspension):
+        return Suspension(power + space.power, space.space)
+    if isinstance(space, Sphere):
+        return Sphere(space.n + power)
+    if isinstance(space, SuspCP2):
+        return SuspCP2(space.k + power)
+    if isinstance(space, Wedge):
+        return wedge(*(suspension(power, p) for p in space.parts))
+    return Suspension(power, space)
+
+
+# --- canonical form -----------------------------------------------------------
+
+def _rebuild(e: SpaceExpr, primes: frozenset[int]) -> SpaceExpr:
+    """Bottom-up rebuild of an arbitrary tree through the smart constructors;
+    a two-cell complex whose attaching class has order with all its prime
+    factors in `primes` splits into its cells."""
+    if isinstance(e, (Sphere, SuspCP2, LieGroup)):
+        return e
+    if isinstance(e, TwoCell):
+        x = two_cell(e.bottom, e.attach)
+        if primes and isinstance(x, TwoCell):
+            if prime_factors(element_order(x.attach.value, x.attach.modulus)) <= primes:
+                return wedge(Sphere(x.bottom), Sphere(x.top))
+        return x
+    if isinstance(e, AttachedComplex):
+        return attached(_rebuild(e.skeleton, primes), e.top, e.label)
+    if isinstance(e, MappingSpace):
+        return MappingSpace(_rebuild(e.domain, primes), _rebuild(e.codomain, primes))
+    if isinstance(e, Gauge):
+        return gauge(_rebuild(e.base, primes), e.label, e.group)
+    if isinstance(e, Wedge):
+        return wedge(*(_rebuild(p, primes) for p in e.parts))
+    if isinstance(e, Product):
+        return product(*(_rebuild(p, primes) for p in e.parts))
+    if isinstance(e, Loop):
+        return loop(e.power, _rebuild(e.space, primes))
+    if isinstance(e, Suspension):
+        return suspension(e.power, _rebuild(e.space, primes))
+    raise TypeError(f"not a space expression: {e!r}")
 
 
 def normalize(e: SpaceExpr) -> SpaceExpr:
     """Canonical form of an arbitrary expression tree."""
-    if isinstance(e, (Sphere, SuspCP2, LieGroup)):
-        return e
-    if isinstance(e, TwoCell):
-        return two_cell(e.bottom, e.attach)
-    if isinstance(e, AttachedComplex):
-        return AttachedComplex(normalize(e.skeleton), e.top, e.label)
-    if isinstance(e, MappingSpace):
-        return MappingSpace(normalize(e.domain), normalize(e.codomain))
-    if isinstance(e, Gauge):
-        return Gauge(normalize(e.base), e.label, e.group)
-    if isinstance(e, Wedge):
-        return wedge(*e.parts)
-    if isinstance(e, Product):
-        return product(*e.parts)
-    if isinstance(e, Loop):
-        return loop(e.power, e.space)
-    if isinstance(e, Suspension):
-        return suspension(e.power, e.space)
-    raise TypeError(f"not a space expression: {e!r}")
+    return _rebuild(e, frozenset())
 
 
 def localize(e: SpaceExpr, primes: frozenset[int] | set[int]) -> SpaceExpr:
-    """Localization away from a set of primes: splits every two-cell complex
-    whose attaching class has order invertible after the primes are
-    inverted (all prime factors of the order lie in the set).  Idempotent;
-    the empty set is the identity."""
-    primes = frozenset(primes)
-
-    def go(x: SpaceExpr) -> SpaceExpr:
-        if isinstance(x, TwoCell):
-            order = element_order(x.attach.value, x.attach.modulus)
-            if prime_factors(order) <= primes:
-                return wedge(Sphere(x.bottom), Sphere(2 * x.bottom))
-            return x
-        if isinstance(x, AttachedComplex):
-            return AttachedComplex(go(x.skeleton), x.top, x.label)
-        if isinstance(x, MappingSpace):
-            return MappingSpace(go(x.domain), go(x.codomain))
-        if isinstance(x, Gauge):
-            return Gauge(go(x.base), x.label, x.group)
-        if isinstance(x, Wedge):
-            return wedge(*(go(p) for p in x.parts))
-        if isinstance(x, Product):
-            return product(*(go(p) for p in x.parts))
-        if isinstance(x, Loop):
-            return loop(x.power, go(x.space))
-        if isinstance(x, Suspension):
-            return suspension(x.power, go(x.space))
-        return x
-
-    return go(normalize(e))
+    """Canonical form of an arbitrary expression tree, localized away from a
+    set of primes: every two-cell complex whose attaching class has order
+    invertible after the primes are inverted (all prime factors of the order
+    lie in the set) splits.  Idempotent; the empty set gives `normalize`."""
+    return _rebuild(e, frozenset(primes))

@@ -280,13 +280,6 @@ class Tables:
                 return i, group
         return None
 
-    def vanishing_range(self, space: str, lo: int, hi: int) -> bool:
-        """True iff pi_i(space) = 0 for every lo <= i <= hi.  Raises
-        NotTabulatedError if any degree in the range is untabulated, even
-        past the first nonvanishing group."""
-        groups = [self.pi(space, i).group for i in range(lo, hi + 1)]
-        return all(g.is_trivial() for g in groups)
-
     def classify_bundles(self, dimension: int, connectivity: int, group: str) -> GroupQueryResult:
         """Isomorphism class of the set of principal bundles over a closed
         oriented k-connected m-manifold: pi_{m-1}(G), valid when pi_i(G)

@@ -193,6 +193,22 @@ def test_jobs_directory_batch(tmp_path, capsys):
     assert "pi_11(E6)" in err
 
 
+def test_non_utf8_job_file_exits_4(tmp_path, capsys):
+    bad = tmp_path / "bad.job"
+    bad.write_bytes(b"kind: wall\nn: 5\ngroup: E\xff6\n")
+    code, out, err = run(capsys, "decompose", str(bad))
+    assert code == 4
+    assert "bad.job" in err and "UTF-8" in err
+
+    jobs = tmp_path / "jobs"
+    jobs.mkdir()
+    (jobs / "a_bad.job").write_bytes(bad.read_bytes())
+    (jobs / "b_wall.job").write_text(WALL_E6, encoding="utf-8")
+    code, out, err = run(capsys, "decompose", "--jobs", str(jobs))
+    assert code == 4  # worst exit among the batch
+    assert "== b_wall.job" in out and "G_k(S^10)" in out
+
+
 def test_no_file_and_no_jobs_exits_4(capsys):
     code, out, err = run(capsys, "decompose")
     assert code == 4

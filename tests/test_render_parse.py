@@ -6,10 +6,13 @@ from gaugekit.exact import CyclicElem
 from gaugekit.parser import ParseError, parse
 from gaugekit.render import render, render_latex, render_text
 from gaugekit.spaces import (
+    AttachedComplex,
+    Gauge,
     LieGroup,
     MappingSpace,
     Sphere,
     SuspCP2,
+    Wedge,
     attached,
     gauge,
     localize,
@@ -111,3 +114,14 @@ def test_parse_accepts_optional_gauge_group_annotation():
     assert parse("G_alpha(S^5 u[J(xi)] e^11; Sp(3))") == gauge(
         attached(Sphere(5), 11, "J(xi)"), "alpha", "Sp(3)"
     )
+
+
+def test_empty_attaching_label_round_trips_as_unlabelled():
+    e = parse("S^5 u[] e^12")
+    assert e == attached(Sphere(5), 12)
+    assert parse(render_text(e)) == e
+    labelled = AttachedComplex(Sphere(5), 12, "")
+    assert normalize(labelled) == e
+    assert normalize(Wedge((e, labelled))) == normalize(Wedge((labelled, e)))
+    assert parse("S^5 u[] e^12 v S^5 u e^12") == parse("S^5 u e^12 v S^5 u[] e^12")
+    assert normalize(Gauge(Sphere(10), "k", "")) == gauge(Sphere(10), "k")

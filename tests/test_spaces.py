@@ -75,6 +75,8 @@ def test_two_cell_with_zero_class_splits():
     assert isinstance(live, TwoCell)
     with pytest.raises(ValueError):
         two_cell(8, CyclicElem(1, 0))
+    with pytest.raises(ValueError):
+        normalize(TwoCell(5, CyclicElem(3, 0)))
 
 
 def test_normalize_handles_raw_trees():
@@ -99,11 +101,13 @@ def test_localize_examples():
 
 def test_localize_is_idempotent_and_recursive():
     rng = random.Random(11)
+    variants = random.Random(12)
     for _ in range(300):
         e = random_expr(rng, depth=3)
         for primes in (set(), {2}, {2, 3}, {2, 3, 5}):
             once = localize(e, primes)
             assert localize(once, primes) == once
+            assert localize(denormalize(variants, e), primes) == once
         assert localize(e, set()) == normalize(e)
 
 

@@ -66,14 +66,14 @@ def test_sphere_connectivity_rows():
 
 
 def test_vanishing_range_examples():
-    assert T.vanishing_range("E8", 4, 14)
-    assert T.vanishing_range("E6", 4, 8)
-    assert not T.vanishing_range("E7", 4, 11)
-    assert T.vanishing_range("E7", 4, 10)
+    assert T.first_nonvanishing("E8", 4, 14) is None
+    assert T.first_nonvanishing("E6", 4, 8) is None
+    assert T.first_nonvanishing("E7", 4, 11) == (11, Zof(1))
+    assert T.first_nonvanishing("E7", 4, 10) is None
     with pytest.raises(NotTabulatedError):
-        T.vanishing_range("E6", 4, 10)  # pi_10(E6) untabulated, even though pi_9 != 0
-    # empty range is vacuously true
-    assert T.vanishing_range("E6", 9, 8)
+        T.first_nonvanishing("E6", 10, 10)  # pi_10(E6) untabulated
+    # empty range is vacuously vanishing
+    assert T.first_nonvanishing("E6", 9, 8) is None
 
 
 def test_first_nonvanishing_short_circuits_at_first_nonzero():
@@ -151,6 +151,6 @@ def test_inline_tables():
             "Gtest, -, 1..60, 0, -, -, synthetic vanishing group",
         ]
     )
-    assert t.vanishing_range("Gtest", 4, 40)
+    assert t.first_nonvanishing("Gtest", 4, 40) is None
     with pytest.raises(NotTabulatedError):
         t.pi("Gtest", 61)
