@@ -6,8 +6,9 @@
 Reads a job file (see jobfile), runs the dispatcher, and prints the
 suspension splitting, the gauge decomposition, and the rule used.  Exit
 codes: 0 success, 2 hypothesis not met (including unsupported inputs and
-inapplicable cases), 3 homotopy group not tabulated, 4 malformed job file.
-The table directory can be overridden with GAUGEKIT_TABLES.
+inapplicable cases), 3 homotopy group not tabulated, 4 malformed job file
+or table directory.  The table directory can be overridden with
+GAUGEKIT_TABLES; it is loaded once, before the first job.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .jobfile import SchemaError, parse_job_file, parse_primes
 from .manifolds import GeneralComplex
 from .modmatrix import reduce_with_report, rowop_orbit
 from .render import render
-from .tables import HypothesisNotMetError, NotTabulatedError
+from .tables import HypothesisNotMetError, NotTabulatedError, default_tables
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -122,6 +123,12 @@ def main(argv: list[str] | None = None) -> int:
     dec.add_argument("--trace", action="store_true", help="dump the row-operation log and oracle verdicts")
     dec.add_argument("--jobs", metavar="DIR", help="process every job file in a directory")
     args = parser.parse_args(argv)
+
+    try:
+        default_tables()
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
 
     if args.jobs:
         directory = Path(args.jobs)

@@ -31,7 +31,7 @@ from .spaces import (
     wedge,
 )
 from .groups import Z
-from .tables import HypothesisNotMetError, NotTabulatedError, Tables, default_tables
+from .tables import NotTabulatedError, Tables, default_tables
 
 __all__ = [
     "DecompositionError",
@@ -92,19 +92,6 @@ def _away(localize_away: Iterable[int]) -> frozenset[int]:
         if not is_prime(p):
             raise ValueError(f"localize_away must contain primes, got {p}")
     return away
-
-
-def _require_vanishing(
-    tables: Tables,
-    group: str,
-    degrees: Iterable[int],
-    away: frozenset[int],
-    requirement: str,
-) -> None:
-    for i in degrees:
-        res = tables.pi(group, i)
-        if not res.group.localized_away(away).is_trivial():
-            raise HypothesisNotMetError(group, i, res.group, requirement)
 
 
 def _gauge_label(tables: Tables, group: str, dimension: int) -> str:
@@ -176,13 +163,13 @@ def gauge_decompose_wall(
             "gauge groups over rank-m 4-manifolds are prior work on simply "
             "connected 4-manifolds; this engine starts at n = 3"
         )
-    _require_vanishing(
-        tables,
+    tables.require_vanishing(
         group,
-        (n - 1, n),
-        away,
+        n - 1,
+        n,
         "the gauge splitting over (n-1)-connected 2n-manifolds "
         f"(pi_{n - 1} and pi_{n} of the structure group must vanish)",
+        away,
     )
     # the bundles are classified by pi_{2n-1}(G); an untabulated group there
     # surfaces as an error rather than a guessed class label
@@ -251,11 +238,10 @@ def gauge_decompose_complex(
             f"the reduced attaching matrix has t = {t} nonzero columns with "
             f"rank m = {m}; the splitting requires t < m (no sphere splits off)"
         )
-    _require_vanishing(
-        tables,
+    tables.require_vanishing(
         group,
-        (n - 1, n),
-        frozenset(),
+        n - 1,
+        n,
         "the two-cone gauge splitting "
         f"(pi_{n - 1} and pi_{n} of the structure group must vanish)",
     )
@@ -298,11 +284,10 @@ def gauge_decompose_sphere_bundle(
             f"produces one via the Hopf-construction argument; {_JW}); got "
             f"q={q}, n={n}, section={E.has_section}, reducible={E.j_xi_trivial}"
         )
-    _require_vanishing(
-        tables,
+    tables.require_vanishing(
         group,
-        (n - 1,),
-        frozenset(),
+        n - 1,
+        n - 1,
         f"the sectioned sphere-bundle gauge splitting (pi_{n - 1}(G) = 0)",
     )
     label = _gauge_label(tables, group, E.dimension)

@@ -3,7 +3,7 @@ renderer on canonical expressions).
 
     expr     := factor (("x" factor)* | ("v" factor)*)
     factor   := prefix | primary ["u" ["[" label "]"] "e^" INT]
-    prefix   := ("Omega^" INT | "Sigma^" INT) factor
+    prefix   := ("Omega^" INT | "Sigma^" INT) factor        (INT >= 1)
     primary  := "S^" INT | "CP^2" | "SCP2^" INT
               | "TC(" INT "," INT ";" INT "mod" INT ")"
               | "Map*(" expr "," expr ")"
@@ -122,12 +122,13 @@ class _Parser:
 
     def parse_factor(self) -> SpaceExpr:
         kind = self.peek()
-        if kind == "OMEGA":
-            power = int(self.next()[1].split("^")[1])
-            return loop(power, self.parse_factor())
-        if kind == "SIGMA":
-            power = int(self.next()[1].split("^")[1])
-            return suspension(power, self.parse_factor())
+        if kind in ("OMEGA", "SIGMA"):
+            prefix = self.next()[1]
+            power = int(prefix.split("^")[1])
+            if power < 1:
+                raise ParseError(f"{prefix} needs a power >= 1")
+            build = loop if kind == "OMEGA" else suspension
+            return build(power, self.parse_factor())
         expr = self.parse_primary()
         if self.peek() == "U":
             self.next()
@@ -197,9 +198,13 @@ class _Parser:
 
 
 def parse(text: str) -> SpaceExpr:
-    """Parse a rendered space expression back to its canonical tree."""
+    """Parse a rendered space expression back to its canonical tree.  Every
+    rejection, including a node constructor's, raises ParseError."""
     parser = _Parser(_tokenize(text))
-    expr = parser.parse_expr()
+    try:
+        expr = parser.parse_expr()
+    except ValueError as exc:  # a node constructor's rejection, or a ParseError
+        raise ParseError(str(exc)) from None
     if parser.pos != len(parser.tokens):
         kind, value = parser.tokens[parser.pos]
         raise ParseError(f"trailing input at token {kind} {value!r}")

@@ -8,25 +8,28 @@ Tables are data files, not code: line-oriented records
 with `#` comments.  The space field names a family (E6, S^n, Sp, ...),
 params declares its parameter variables, degree is an exact integer, a
 range ``lo..hi``, an arithmetic expression in the parameters, or a residue
-pattern ``q mod M = R``, and validity is a side condition evaluated per
-query (the query degree is bound to ``q``).  Torsion is a space-separated
-invariant-factor list, ``-`` for none; alternatives separated by ``|``
-form a candidate set, which is served only through the candidate API.
-Every lookup either returns a tabulated group with its citation or raises
-a typed error -- never a guess.
+pattern ``q mod M = R``, and validity is a side condition on the query
+degree ``q``.  Each record is checked against the expression grammar and
+compiled into one condition when it is loaded, so a malformed record fails
+the load with its file and line, never a query.  Torsion is a
+space-separated invariant-factor list, ``-`` for none; alternatives
+separated by ``|`` form a candidate set, which is served only through the
+candidate API.  Every lookup either returns a tabulated group with its
+citation or raises a typed error -- never a guess.
 
 The directory of table files can be overridden with the GAUGEKIT_TABLES
-environment variable; extension files simply add records.
+environment variable; extension files simply add records, and a directory
+without any ``*.tbl`` file is an error.
 """
 
 from __future__ import annotations
 
 import ast
-import operator
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from types import CodeType
 
 from .groups import FGAbelianGroup
 
@@ -65,61 +68,57 @@ class HypothesisNotMetError(ValueError):
         )
 
 
-# --- tiny safe evaluator for the degree/validity expression language ------
-
-_BIN_OPS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.FloorDiv: operator.floordiv,
-    ast.Mod: operator.mod,
-}
-_CMP_OPS = {
-    ast.Lt: operator.lt,
-    ast.LtE: operator.le,
-    ast.Gt: operator.gt,
-    ast.GtE: operator.ge,
-    ast.Eq: operator.eq,
-    ast.NotEq: operator.ne,
-}
-
-
-def _eval_node(node: ast.AST, env: dict[str, int]):
-    if isinstance(node, ast.Expression):
-        return _eval_node(node.body, env)
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return node.value
-    if isinstance(node, ast.Name):
-        if node.id not in env:
-            raise ValueError(f"unknown variable {node.id!r} in table expression")
-        return env[node.id]
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return -_eval_node(node.operand, env)
-    if isinstance(node, ast.BinOp) and type(node.op) in _BIN_OPS:
-        return _BIN_OPS[type(node.op)](_eval_node(node.left, env), _eval_node(node.right, env))
-    if isinstance(node, ast.Compare):
-        left = _eval_node(node.left, env)
-        for op, comp in zip(node.ops, node.comparators):
-            if type(op) not in _CMP_OPS:
-                raise ValueError("unsupported comparison in table expression")
-            right = _eval_node(comp, env)
-            if not _CMP_OPS[type(op)](left, right):
-                return False
-            left = right
-        return True
-    if isinstance(node, ast.BoolOp):
-        vals = (_eval_node(v, env) for v in node.values)
-        return all(vals) if isinstance(node.op, ast.And) else any(vals)
-    raise ValueError(f"unsupported construct in table expression: {ast.dump(node)}")
-
-
-def _evaluate(expr: str, env: dict[str, int]):
-    return _eval_node(ast.parse(expr, mode="eval"), env)
-
-
 # --- record model ----------------------------------------------------------
 
-_MOD_PATTERN = re.compile(r"^q\s+mod\s+(\d+)\s*=\s*(\d+)$")
+_MOD_PATTERN = re.compile(r"^q\s+mod\s+(0*[1-9]\d*)\s*=\s*(\d+)$")
+
+# the expression grammar: int constants, names, unary minus, + - * // %,
+# comparisons and and/or (ast.walk also yields the operator and context nodes)
+_GRAMMAR = frozenset({
+    ast.Constant, ast.Name, ast.Load, ast.UnaryOp, ast.USub,
+    ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Mod,
+    ast.Compare, ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq,
+    ast.BoolOp, ast.And, ast.Or,
+})
+# source position of the nodes that join a record's parsed fields
+_AT = {"lineno": 1, "col_offset": 0, "end_lineno": 1, "end_col_offset": 0}
+
+
+def _expression(text: str, names: frozenset[str]) -> ast.expr:
+    """Parse one degree or validity expression and check it against the
+    grammar; the only names allowed are the declared params and q."""
+    try:
+        tree = ast.parse(text.strip(), mode="eval").body
+    except SyntaxError:
+        raise ValueError(f"cannot parse table expression {text!r}") from None
+    for node in ast.walk(tree):
+        if type(node) not in _GRAMMAR:
+            raise ValueError(f"unsupported {type(node).__name__} in table expression {text!r}")
+        if isinstance(node, ast.Constant) and not isinstance(node.value, int):
+            raise ValueError(f"non-integer constant {node.value!r} in table expression")
+        if isinstance(node, ast.Name) and node.id not in names:
+            raise ValueError(f"unknown variable {node.id!r} in table expression")
+    return tree
+
+
+def _condition(degree_spec: str, validity: str | None, names: frozenset[str], source: str):
+    """Compile a record's degree spec and validity into one condition on q:
+    ``q mod M = R`` is ``q % M == R``, ``lo..hi`` is ``(lo) <= q <= (hi)``,
+    any other spec e is ``q == (e)``, and the validity is joined with and."""
+    q = ast.Name("q", ast.Load(), **_AT)
+    m = _MOD_PATTERN.match(degree_spec)
+    if m:
+        test = _expression(f"q % {int(m[1])} == {int(m[2])}", names)
+    elif ".." in degree_spec:
+        lo, hi = degree_spec.split("..", 1)
+        test = ast.Compare(
+            _expression(lo, names), [ast.LtE(), ast.LtE()], [q, _expression(hi, names)], **_AT
+        )
+    else:
+        test = ast.Compare(q, [ast.Eq()], [_expression(degree_spec, names)], **_AT)
+    if validity is not None:
+        test = ast.BoolOp(ast.And(), [test, _expression(validity, names)], **_AT)
+    return compile(ast.Expression(test), source, "eval")
 
 
 @dataclass(frozen=True)
@@ -131,46 +130,40 @@ class TableEntry:
     candidates: tuple[FGAbelianGroup, ...] | None
     validity: str | None
     citation: str
+    condition: CodeType = field(repr=False, compare=False)
 
     def matches(self, params: dict[str, int], degree: int) -> bool:
-        env = dict(params)
-        env["q"] = degree
-        m = _MOD_PATTERN.match(self.degree_spec)
-        if m:
-            if degree % int(m.group(1)) != int(m.group(2)):
-                return False
-        elif ".." in self.degree_spec:
-            lo_s, hi_s = self.degree_spec.split("..", 1)
-            if not _evaluate(lo_s, env) <= degree <= _evaluate(hi_s, env):
-                return False
-        else:
-            if _evaluate(self.degree_spec, env) != degree:
-                return False
-        if self.validity is not None and not _evaluate(self.validity, env):
-            return False
-        return True
-
-
-def _parse_group(free_rank: int, torsion_field: str) -> FGAbelianGroup:
-    torsion = [] if torsion_field == "-" else [int(t) for t in torsion_field.split()]
-    return FGAbelianGroup.of(free_rank, torsion)
+        return bool(eval(self.condition, {"__builtins__": {}}, {**params, "q": degree}))
 
 
 def _parse_record(line: str, source: str) -> TableEntry:
-    fields = [f.strip() for f in line.split(",", 6)]
-    if len(fields) != 7:
-        raise ValueError(f"{source}: expected 7 comma-separated fields, got {len(fields)}: {line!r}")
-    family, params_f, degree_spec, rank_f, torsion_f, validity_f, citation = fields
-    params = () if params_f == "-" else tuple(p.strip() for p in params_f.split())
-    free_rank = int(rank_f)
-    validity = None if validity_f == "-" else validity_f
-    if "|" in torsion_f:
-        cands = tuple(
-            _parse_group(free_rank, alt.strip()) for alt in torsion_f.split("|")
+    """One record, checked and compiled; any malformed field raises a
+    ValueError that names the source line."""
+    try:
+        fields = [f.strip() for f in line.split(",", 6)]
+        if len(fields) != 7:
+            raise ValueError(f"expected 7 comma-separated fields, got {len(fields)}: {line!r}")
+        family, params_f, degree_spec, rank_f, torsion_f, validity_f, citation = fields
+        params = () if params_f == "-" else tuple(params_f.split())
+        validity = None if validity_f == "-" else validity_f
+        condition = _condition(degree_spec, validity, frozenset(params) | {"q"}, source)
+        free_rank = int(rank_f)
+        groups = tuple(
+            FGAbelianGroup.of(free_rank, [] if alt.strip() == "-" else map(int, alt.split()))
+            for alt in torsion_f.split("|")
         )
-        return TableEntry(family, params, degree_spec, None, cands, validity, citation)
-    group = _parse_group(free_rank, torsion_f)
-    return TableEntry(family, params, degree_spec, group, None, validity, citation)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
+    if len(groups) > 1:
+        return TableEntry(family, params, degree_spec, None, groups, validity, citation, condition)
+    return TableEntry(family, params, degree_spec, groups[0], None, validity, citation, condition)
+
+
+def _records(lines: list[str], source: str):
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield _parse_record(line, f"{source}:{lineno}")
 
 
 # --- space-name parsing ----------------------------------------------------
@@ -206,41 +199,36 @@ class GroupQueryResult:
 
 
 class Tables:
-    """An immutable set of homotopy-group records, loaded once."""
+    """An immutable set of homotopy-group records, loaded once and indexed
+    by family; within a family the first matching record answers."""
 
     def __init__(self, entries: list[TableEntry]):
-        self._entries = tuple(entries)
+        self._families: dict[str, list[TableEntry]] = {}
+        for entry in entries:
+            self._families.setdefault(entry.family, []).append(entry)
 
     @classmethod
     def from_dir(cls, directory: Path | str) -> "Tables":
-        directory = Path(directory)
+        paths = sorted(Path(directory).glob("*.tbl"))
+        if not paths:
+            raise FileNotFoundError(f"no *.tbl table files in {directory}")
         entries: list[TableEntry] = []
-        for path in sorted(directory.glob("*.tbl")):
-            for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                entries.append(_parse_record(line, f"{path.name}:{lineno}"))
+        for path in paths:
+            try:
+                text = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+            entries.extend(_records(text.splitlines(), str(path)))
         return cls(entries)
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "Tables":
-        entries = [
-            _parse_record(line.strip(), "<inline>")
-            for line in lines
-            if line.strip() and not line.strip().startswith("#")
-        ]
-        return cls(entries)
+        return cls(list(_records(lines, "<inline>")))
 
     def _find(self, space: str, degree: int) -> TableEntry:
         family, params = parse_space(space)
-        for entry in self._entries:
-            if entry.family != family:
-                continue
-            missing = [p for p in entry.params if p not in params]
-            if missing:
-                continue
-            if entry.matches(params, degree):
+        for entry in self._families.get(family, ()):
+            if all(p in params for p in entry.params) and entry.matches(params, degree):
                 return entry
         raise NotTabulatedError(space, degree)
 
@@ -272,37 +260,50 @@ class Tables:
         hi: int,
         localize_away: frozenset[int] = frozenset(),
     ) -> tuple[int, FGAbelianGroup] | None:
-        """First degree in [lo, hi] with a nonvanishing group, after killing
-        torsion supported on the localize_away primes; None if all vanish."""
+        """First degree in [lo, hi] whose group does not vanish after killing
+        torsion supported on the localize_away primes, with its tabulated
+        (unlocalized) group; None if all vanish."""
         for i in range(lo, hi + 1):
-            group = self.pi(space, i).group.localized_away(localize_away)
-            if not group.is_trivial():
+            group = self.pi(space, i).group
+            if not group.localized_away(localize_away).is_trivial():
                 return i, group
         return None
+
+    def require_vanishing(
+        self,
+        space: str,
+        lo: int,
+        hi: int,
+        requirement: str,
+        localize_away: frozenset[int] = frozenset(),
+    ) -> None:
+        """Raise HypothesisNotMetError, naming the requirement, at the first
+        degree in [lo, hi] that does not vanish after localization."""
+        offender = self.first_nonvanishing(space, lo, hi, localize_away)
+        if offender is not None:
+            raise HypothesisNotMetError(space, *offender, requirement)
 
     def classify_bundles(self, dimension: int, connectivity: int, group: str) -> GroupQueryResult:
         """Isomorphism class of the set of principal bundles over a closed
         oriented k-connected m-manifold: pi_{m-1}(G), valid when pi_i(G)
         vanishes for k <= i <= m-k-1."""
-        offender = self.first_nonvanishing(group, connectivity, dimension - connectivity - 1)
-        if offender is not None:
-            degree, found = offender
-            raise HypothesisNotMetError(
-                group,
-                degree,
-                found,
-                f"classifying bundles over a {connectivity}-connected "
-                f"{dimension}-manifold (middle-range vanishing)",
-            )
+        self.require_vanishing(
+            group,
+            connectivity,
+            dimension - connectivity - 1,
+            f"classifying bundles over a {connectivity}-connected "
+            f"{dimension}-manifold (middle-range vanishing)",
+        )
         return self.pi(group, dimension - 1)
 
 
+_PACKAGED = str(Path(__file__).parent / "data")
 _CACHE: dict[str, Tables] = {}
 
 
 def default_tables() -> Tables:
     """Packaged tables, or the directory named by GAUGEKIT_TABLES."""
-    directory = os.environ.get("GAUGEKIT_TABLES") or str(Path(__file__).parent / "data")
+    directory = os.environ.get("GAUGEKIT_TABLES") or _PACKAGED
     if directory not in _CACHE:
         _CACHE[directory] = Tables.from_dir(directory)
     return _CACHE[directory]

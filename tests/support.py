@@ -1,14 +1,18 @@
 """Independent oracles for the test suite: second-algorithm Bernoulli
 numbers, the von Staudt-Clausen denominator, the exhaustive representative
 gcd search, brute-force subgroup closures, row-operation orbit enumeration,
-and mod-2 rank by row-space counting.
+mod-2 rank by row-space counting, and the per-query tree-walking evaluator
+for table records.
 
 Nothing here calls the engine's own code paths for the quantity it checks.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 import random
+import re
 from collections import deque
 from fractions import Fraction
 from math import gcd
@@ -273,3 +277,82 @@ def denormalize(rng: random.Random, expr):
         return e
 
     return vary(expr)
+
+
+# --- table records: the per-query evaluator ----------------------------------
+# The loader compiles each record once; this is the algorithm it replaced,
+# which re-parses the degree spec and validity on every query and walks the
+# tree.  It stays as the reference the compiled conditions must agree with.
+
+_BIN_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.FloorDiv: operator.floordiv,
+    ast.Mod: operator.mod,
+}
+_CMP_OPS = {
+    ast.Lt: operator.lt,
+    ast.LtE: operator.le,
+    ast.Gt: operator.gt,
+    ast.GtE: operator.ge,
+    ast.Eq: operator.eq,
+    ast.NotEq: operator.ne,
+}
+_MOD_PATTERN = re.compile(r"^q\s+mod\s+(\d+)\s*=\s*(\d+)$")
+
+
+def _eval_node(node: ast.AST, env: dict[str, int]):
+    if isinstance(node, ast.Expression):
+        return _eval_node(node.body, env)
+    if isinstance(node, ast.Constant) and isinstance(node.value, int):
+        return node.value
+    if isinstance(node, ast.Name):
+        if node.id not in env:
+            raise ValueError(f"unknown variable {node.id!r} in table expression")
+        return env[node.id]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return -_eval_node(node.operand, env)
+    if isinstance(node, ast.BinOp) and type(node.op) in _BIN_OPS:
+        return _BIN_OPS[type(node.op)](_eval_node(node.left, env), _eval_node(node.right, env))
+    if isinstance(node, ast.Compare):
+        left = _eval_node(node.left, env)
+        for op, comp in zip(node.ops, node.comparators):
+            if type(op) not in _CMP_OPS:
+                raise ValueError("unsupported comparison in table expression")
+            right = _eval_node(comp, env)
+            if not _CMP_OPS[type(op)](left, right):
+                return False
+            left = right
+        return True
+    if isinstance(node, ast.BoolOp):
+        vals = (_eval_node(v, env) for v in node.values)
+        return all(vals) if isinstance(node.op, ast.And) else any(vals)
+    raise ValueError(f"unsupported construct in table expression: {ast.dump(node)}")
+
+
+def _evaluate(expr: str, env: dict[str, int]):
+    return _eval_node(ast.parse(expr, mode="eval"), env)
+
+
+def reference_matches(
+    degree_spec: str, validity: str | None, params: dict[str, int], degree: int
+) -> bool:
+    """Whether a table record with this degree spec and validity answers the
+    query (params, degree)."""
+    env = dict(params)
+    env["q"] = degree
+    m = _MOD_PATTERN.match(degree_spec)
+    if m:
+        if degree % int(m.group(1)) != int(m.group(2)):
+            return False
+    elif ".." in degree_spec:
+        lo_s, hi_s = degree_spec.split("..", 1)
+        if not _evaluate(lo_s, env) <= degree <= _evaluate(hi_s, env):
+            return False
+    else:
+        if _evaluate(degree_spec, env) != degree:
+            return False
+    if validity is not None and not _evaluate(validity, env):
+        return False
+    return True

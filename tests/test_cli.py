@@ -230,6 +230,26 @@ def test_tables_env_override(tmp_path, capsys, monkeypatch):
     assert "G_alpha(S^10) x Omega^5 Gv" in out
 
 
+def test_malformed_table_record_exits_4(tmp_path, capsys, monkeypatch):
+    tables_dir = tmp_path / "tables"
+    tables_dir.mkdir()
+    (tables_dir / "bad.tbl").write_text("# synthetic\nE6, -, 9, 1, -, r >, x\n", encoding="utf-8")
+    monkeypatch.setenv("GAUGEKIT_TABLES", str(tables_dir))
+    path = write(tmp_path, "wall.job", WALL_E6)
+    code, out, err = run(capsys, "decompose", path)
+    assert code == 4
+    assert err.startswith(f"error: {tables_dir / 'bad.tbl'}:2: ")
+    assert out == ""
+
+
+def test_empty_tables_directory_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GAUGEKIT_TABLES", str(tmp_path / "missing"))
+    path = write(tmp_path, "wall.job", WALL_E6)
+    code, out, err = run(capsys, "decompose", path)
+    assert code == 4
+    assert "no *.tbl table files" in err
+
+
 def test_sample_jobs_all_run(capsys):
     samples = Path(__file__).resolve().parents[1] / "sample_jobs"
     for job in sorted(samples.glob("*.job")):

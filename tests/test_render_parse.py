@@ -106,6 +106,9 @@ def test_parse_errors():
         parse("")
     with pytest.raises(ParseError):
         parse("S^5 ⊕ S^6")
+    for text in ("Sigma^0 S^3", "Sigma^0 E8", "Omega^0 E8", "TC(3,6;1 mod 0)"):
+        with pytest.raises(ParseError):
+            parse(text)
 
 
 def test_parse_accepts_optional_gauge_group_annotation():

@@ -1,3 +1,6 @@
+import itertools
+from pathlib import Path
+
 import pytest
 
 from gaugekit.groups import FGAbelianGroup
@@ -8,6 +11,8 @@ from gaugekit.tables import (
     default_tables,
     parse_space,
 )
+
+from support import reference_matches
 
 Zof = FGAbelianGroup.of
 T = default_tables()
@@ -154,3 +159,52 @@ def test_inline_tables():
     assert t.first_nonvanishing("Gtest", 4, 40) is None
     with pytest.raises(NotTabulatedError):
         t.pi("Gtest", 61)
+    # malformed records are rejected when they are loaded, naming the line
+    for record in (
+        "Gtest, n, 1, 0, -, m >= 1, unknown variable",
+        "Gtest, n, n ** 2, 0, -, -, power",
+        "Gtest, n, 1, 0, -, not n, negation",
+        "Gtest, n, 1, 0, -, n.real, attribute",
+        'Gtest, n, 1, 0, -, "x", string constant',
+        'Gtest, n, 1, 0, -, __import__("os"), call',
+    ):
+        with pytest.raises(ValueError, match="<inline>:1"):
+            Tables.from_lines([record])
+
+
+DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "gaugekit" / "data"
+
+
+def test_compiled_conditions_agree_with_reference_evaluator():
+    records = [
+        line
+        for path in DATA_DIR.glob("*.tbl")
+        for line in path.read_text(encoding="utf-8").splitlines()
+        if line.strip() and not line.startswith("#")
+    ]
+    tables = Tables.from_dir(DATA_DIR)
+    entries = [entry for family in tables._families.values() for entry in family]
+    assert len(entries) == len(records)
+    for entry in entries:
+        for values in itertools.product(range(25), repeat=len(entry.params)):
+            params = dict(zip(entry.params, values))
+            for q in range(65):
+                want = reference_matches(entry.degree_spec, entry.validity, params, q)
+                assert entry.matches(params, q) == want, (entry, params, q)
+
+
+def test_require_vanishing_reports_the_tabulated_group():
+    t = Tables.from_lines(
+        [
+            "Gt, -, 5, 0, 6, -, synthetic Z/6",
+            "Gt, -, 6, 0, 10, -, synthetic Z/10",
+        ]
+    )
+    t.require_vanishing("Gt", 5, 6, "the test", frozenset({2, 3, 5}))
+    with pytest.raises(HypothesisNotMetError) as err:
+        t.require_vanishing("Gt", 5, 6, "the test", frozenset({2}))
+    assert (err.value.degree, err.value.group) == (5, Zof(0, [6]))
+    assert "required for the test" in str(err.value)
+    with pytest.raises(HypothesisNotMetError) as err:
+        t.require_vanishing("Gt", 5, 6, "the test", frozenset({2, 3}))
+    assert (err.value.degree, err.value.group) == (6, Zof(0, [10]))
