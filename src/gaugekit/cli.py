@@ -152,9 +152,5 @@ def main(argv: list[str] | None = None) -> int:
     return _run_one(Path(args.file), args)
 
 
-def console_main() -> None:  # pragma: no cover
-    sys.exit(main())
-
-
 if __name__ == "__main__":  # pragma: no cover
     sys.exit(main())

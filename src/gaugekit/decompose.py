@@ -15,7 +15,6 @@ from .exact import CyclicElem, is_prime, subgroup_generator
 from .manifolds import GeneralComplex, N2Manifold, SigmaFCase, SphereBundle, WallManifold
 from .modmatrix import nonzero_column_count, reduce_with_report
 from .spaces import (
-    Gauge,
     LieGroup,
     MappingSpace,
     SpaceExpr,
@@ -47,7 +46,6 @@ __all__ = [
     "skeleton_split_n2",
     "gauge_decompose_n2",
     "decompose",
-    "localize",
 ]
 
 
@@ -103,6 +101,32 @@ def _gauge_label(tables: Tables, group: str, dimension: int) -> str:
     except NotTabulatedError:
         pass
     return "alpha"
+
+
+def _split(
+    base: SpaceExpr,
+    summands: list[SpaceExpr],
+    label: str,
+    group: str,
+    theorem: str,
+    away: frozenset[int] = frozenset(),
+    base_space: SpaceExpr | None = None,
+) -> Decomposition:
+    """The splitting rule: a suspension splitting Sigma(base) v (wedge of
+    Sigma X) gives G_label(base) x (product of Map*(X, G)), where X = S^k
+    contributes Omega^k G and X = SCP2^k contributes Omega^k Map*(CP^2, G)."""
+    G = LieGroup(group)
+    factors = [
+        loop(x.n, G) if isinstance(x, Sphere) else loop(x.k, MappingSpace(SuspCP2(0), G))
+        for x in summands
+    ]
+    return Decomposition(
+        wedge(suspension(1, base), *(suspension(1, x) for x in summands)),
+        product(gauge(base, label), *factors),
+        theorem,
+        away,
+        base_space,
+    )
 
 
 # --- (n-1)-connected 2n-manifolds -------------------------------------------
@@ -197,15 +221,13 @@ def gauge_decompose_wall(
             "attaching residue dies (Wu formula)"
         )
 
-    G = LieGroup(group)
     if full_reason is not None:
-        gauge_expr = product(gauge(Sphere(2 * n), label), *(loop(n, G) for _ in range(m)))
-        susp = wedge(Sphere(2 * n + 1), *(Sphere(n + 1) for _ in range(m)))
+        base: SpaceExpr = Sphere(2 * n)
+        spheres = m
         theorem = f"gauge splitting over (n-1)-connected 2n-manifolds: {full_reason}"
     else:
         base = two_cell(n, e)
-        gauge_expr = product(gauge(base, label), *(loop(n, G) for _ in range(m - 1)))
-        susp = wedge(suspension(1, base), *(Sphere(n + 1) for _ in range(m - 1)))
+        spheres = m - 1
         if case == "mod2":
             theorem = (
                 "gauge splitting over (n-1)-connected 2n-manifolds: mod-2 case "
@@ -216,7 +238,7 @@ def gauge_decompose_wall(
                 "gauge splitting over (n-1)-connected 2n-manifolds: n = 4s case, "
                 f"attaching residue modulo the denominator of B_s/4s ({_ADAMS_QUILLEN})"
             )
-    return Decomposition(susp, gauge_expr, theorem, away)
+    return _split(base, [Sphere(n)] * spheres, label, group, theorem, away)
 
 
 # --- general two-cone complexes ----------------------------------------------
@@ -249,12 +271,11 @@ def gauge_decompose_complex(
         base: SpaceExpr = Sphere(2 * n)
     else:
         base = attached(wedge(*(Sphere(n) for _ in range(t))) if t > 1 else Sphere(n), 2 * n)
-    G = LieGroup(group)
-    gauge_expr = product(gauge(base, "alpha"), *(loop(n, G) for _ in range(m - t)))
-    susp = wedge(suspension(1, base), *(Sphere(n + 1) for _ in range(m - t)))
-    return Decomposition(
-        susp,
-        gauge_expr,
+    return _split(
+        base,
+        [Sphere(n)] * (m - t),
+        "alpha",
+        group,
         "two-cone gauge factorization via restricted row reduction of the "
         "suspended attaching matrix",
     )
@@ -291,7 +312,6 @@ def gauge_decompose_sphere_bundle(
         f"the sectioned sphere-bundle gauge splitting (pi_{n - 1}(G) = 0)",
     )
     label = _gauge_label(tables, group, E.dimension)
-    G = LieGroup(group)
 
     if E.j_xi_trivial and stable_range:
         try:
@@ -299,11 +319,11 @@ def gauge_decompose_sphere_bundle(
         except NotTabulatedError:
             q_vanishes = False
         if q_vanishes:
-            gauge_expr = product(gauge(Sphere(q + n), label), loop(n, G), loop(q, G))
-            susp = wedge(Sphere(q + 1), Sphere(n + 1), Sphere(q + n + 1))
-            return Decomposition(
-                susp,
-                gauge_expr,
+            return _split(
+                Sphere(q + n),
+                [Sphere(n), Sphere(q)],
+                label,
+                group,
                 f"reducible sphere bundle in the range n <= 2q-1: the total space "
                 f"is S^q x S^n and the gauge group splits three ways ({_JW})",
                 base_space=product(Sphere(q), Sphere(n)),
@@ -313,11 +333,11 @@ def gauge_decompose_sphere_bundle(
         base: SpaceExpr = wedge(Sphere(q), Sphere(q + n))
     else:
         base = attached(Sphere(q), q + n, "J(xi)")
-    gauge_expr = product(gauge(base, label), loop(n, G))
-    susp = wedge(Sphere(n + 1), suspension(1, base))
-    return Decomposition(
-        susp,
-        gauge_expr,
+    return _split(
+        base,
+        [Sphere(n)],
+        label,
+        group,
         f"sectioned sphere-bundle gauge splitting: the Thom space of a plane "
         f"bundle over a sphere is a two-cell complex ({_JW})",
     )
@@ -340,52 +360,26 @@ def skeleton_split_n2(M: N2Manifold) -> SpaceExpr:
     return wedge(*parts)
 
 
-def _n2_case_data(
-    n: int, m: int, c: int, case: SigmaFCase
-) -> tuple[SpaceExpr | None, list[tuple[str, int]]]:
-    """Z-piece (None for the bare top sphere) and the named factor counts
-    [(expression, value)] for (Omega^{n-3} Map*, Omega^{n-1}, Omega^{n+1})."""
+def _n2_case_data(n: int, case: SigmaFCase) -> tuple[SpaceExpr, tuple[int, int, int]]:
+    """Z-piece and the offsets (a, b, h) of the factor counts c-a, m-c-b,
+    m-c-h of (Omega^{n-3} Map*, Omega^{n-1}, Omega^{n+1})."""
     if n == 6:
         table = {
-            SigmaFCase.GENERAL: (
-                attached(wedge(SuspCP2(3), Sphere(5)), 12, "f"),
-                [("c-1", c - 1), ("m-c-1", m - c - 1), ("m-c", m - c)],
-            ),
-            SigmaFCase.IN_SUSPENDED_CP2: (
-                attached(SuspCP2(3), 12),
-                [("c-1", c - 1), ("m-c", m - c), ("m-c", m - c)],
-            ),
-            SigmaFCase.IN_BOTTOM_SPHERES: (
-                attached(Sphere(5), 12),
-                [("c", c), ("m-c-1", m - c - 1), ("m-c", m - c)],
-            ),
-            SigmaFCase.NULL_HOMOTOPIC: (
-                None,
-                [("c", c), ("m-c", m - c), ("m-c", m - c)],
-            ),
+            SigmaFCase.GENERAL: (attached(wedge(SuspCP2(3), Sphere(5)), 12, "f"), (1, 1, 0)),
+            SigmaFCase.IN_SUSPENDED_CP2: (attached(SuspCP2(3), 12), (1, 0, 0)),
+            SigmaFCase.IN_BOTTOM_SPHERES: (attached(Sphere(5), 12), (0, 1, 0)),
+            SigmaFCase.NULL_HOMOTOPIC: (Sphere(12), (0, 0, 0)),
         }
     else:
         table = {
             SigmaFCase.GENERAL: (
                 attached(wedge(*([SuspCP2(5)] * 4 + [Sphere(7)] * 3 + [Sphere(9)])), 16, "f"),
-                [("c-4", c - 4), ("m-c-3", m - c - 3), ("m-c-1", m - c - 1)],
+                (4, 3, 1),
             ),
-            SigmaFCase.IN_SUSPENDED_CP2: (
-                attached(wedge(*([SuspCP2(5)] * 4)), 16),
-                [("c-4", c - 4), ("m-c", m - c), ("m-c", m - c)],
-            ),
-            SigmaFCase.IN_BOTTOM_SPHERES: (
-                attached(wedge(*([Sphere(7)] * 3)), 16),
-                [("c", c), ("m-c-3", m - c - 3), ("m-c", m - c)],
-            ),
-            SigmaFCase.IN_TOP_SPHERE: (
-                attached(Sphere(9), 16),
-                [("c", c), ("m-c", m - c), ("m-c-1", m - c - 1)],
-            ),
-            SigmaFCase.NULL_HOMOTOPIC: (
-                None,
-                [("c", c), ("m-c", m - c), ("m-c", m - c)],
-            ),
+            SigmaFCase.IN_SUSPENDED_CP2: (attached(wedge(*([SuspCP2(5)] * 4)), 16), (4, 0, 0)),
+            SigmaFCase.IN_BOTTOM_SPHERES: (attached(wedge(*([Sphere(7)] * 3)), 16), (0, 3, 0)),
+            SigmaFCase.IN_TOP_SPHERE: (attached(Sphere(9), 16), (0, 0, 1)),
+            SigmaFCase.NULL_HOMOTOPIC: (Sphere(16), (0, 0, 0)),
         }
     return table[case]
 
@@ -414,57 +408,37 @@ def gauge_decompose_n2(
     from .modmatrix import rank_f2
 
     c = rank_f2(M.C)
-    G = LieGroup(group)
-    label = "k"
 
     if 2 in away:
-        gauge_expr = product(
-            gauge(Sphere(2 * n), label),
-            *(loop(n - 1, G) for _ in range(m)),
-            *(loop(n + 1, G) for _ in range(m)),
-        )
-        susp = wedge(
-            Sphere(2 * n + 1),
-            *(Sphere(n) for _ in range(m)),
-            *(Sphere(n + 2) for _ in range(m)),
-        )
-        return Decomposition(
-            susp,
-            gauge_expr,
+        return _split(
+            Sphere(2 * n),
+            [Sphere(n - 1)] * m + [Sphere(n + 1)] * m,
+            "k",
+            group,
             f"{group}-gauge decomposition over {M.connectivity}-connected "
             f"{M.dimension}-manifolds, localized away from 2 (suspended "
             "projective planes split)",
             away,
         )
 
-    piece, counts = _n2_case_data(n, m, c, M.sigma_f_case)
-    for expr, value in counts:
-        if value < 0:
+    piece, offsets = _n2_case_data(n, M.sigma_f_case)
+    counts = []
+    for name, whole, offset in zip(("c", "m-c", "m-c"), (c, m - c, m - c), offsets):
+        if offset:
+            name += f"-{offset}"
+        if whole < offset:
             raise CaseInapplicableError(
-                f"factor count {expr} = {value} is negative for rank m={m}, "
+                f"factor count {name} = {whole - offset} is negative for rank m={m}, "
                 f"mod-2 rank c={c} in case {M.sigma_f_case.value}; the theorem "
                 "presupposes nonnegative counts"
             )
-    n_map, n_low, n_high = (value for _, value in counts)
-
-    if piece is None:
-        piece = Sphere(2 * n)
-    map_star = MappingSpace(SuspCP2(0), G)
-    gauge_expr = product(
-        gauge(piece, label),
-        *(loop(n - 3, map_star) for _ in range(n_map)),
-        *(loop(n - 1, G) for _ in range(n_low)),
-        *(loop(n + 1, G) for _ in range(n_high)),
-    )
-    susp = wedge(
-        suspension(1, piece),
-        *(SuspCP2(n - 2) for _ in range(n_map)),
-        *(Sphere(n) for _ in range(n_low)),
-        *(Sphere(n + 2) for _ in range(n_high)),
-    )
-    return Decomposition(
-        susp,
-        gauge_expr,
+        counts.append(whole - offset)
+    n_map, n_low, n_high = counts
+    return _split(
+        piece,
+        [SuspCP2(n - 3)] * n_map + [Sphere(n - 1)] * n_low + [Sphere(n + 1)] * n_high,
+        "k",
+        group,
         f"{group}-gauge decomposition over {M.connectivity}-connected "
         f"{M.dimension}-manifolds (case: {M.sigma_f_case.value})",
         away,

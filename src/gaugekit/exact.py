@@ -1,5 +1,6 @@
-"""Exact arithmetic kernel: Bernoulli numbers, stable J-image orders, and
-gcd invariants in finite cyclic groups.
+"""Exact arithmetic kernel: Bernoulli numbers, stable J-image orders, gcd
+invariants in finite cyclic groups, and prime-to-p parts and primality
+without factoring.
 
 Everything here is arbitrary-precision integer/rational arithmetic; there is
 no floating point anywhere in the package.
@@ -25,7 +26,7 @@ __all__ = [
     "gcd_mod",
     "subgroup_generator",
     "element_order",
-    "prime_factors",
+    "prime_to_part",
     "is_prime",
 ]
 
@@ -166,28 +167,45 @@ def element_order(value: int, modulus: int) -> int:
     return modulus // gcd(modulus, value % modulus)
 
 
-def prime_factors(n: int) -> set[int]:
-    """Set of prime divisors of |n| (empty for n in {-1, 0, 1})."""
+def prime_to_part(n: int, primes: Iterable[int]) -> int:
+    """|n| with every given prime divided out; no factorization is needed,
+    since gcd(n, p) > 1 exactly while p still divides n (a 1 is a no-op)."""
     n = abs(n)
-    out: set[int] = set()
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.add(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
+    if n == 0:
+        raise ValueError("prime_to_part of 0 is undefined")
+    for p in primes:
+        while (g := gcd(n, p)) > 1:
+            n //= g
+    return n
+
+
+# Deterministic Miller-Rabin: the prime bases 2..41 decide primality of every
+# n below the bound (Sorenson and Webster 2015, psi_13).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
+    """Primality by deterministic Miller-Rabin, exact for n below
+    3317044064679887385961981; a larger n raises ValueError."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"is_prime decides only n < {_MR_BOUND}, got {n}")
     if n < 2:
         return False
-    p = 2
-    while p * p <= n:
+    for p in _MR_BASES:
         if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        p += 1 if p == 2 else 2
     return True

@@ -8,22 +8,12 @@ canonical form is unique, so equality is structural.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable
 
+from .exact import prime_to_part
+
 __all__ = ["FGAbelianGroup", "TRIVIAL", "Z"]
-
-
-def _factor(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -49,25 +39,19 @@ class FGAbelianGroup:
         """Canonicalize an arbitrary list of cyclic orders into invariant
         factors.  Order-independent; factors of 1 are dropped; 0 is not a
         torsion coefficient (it belongs in the free rank)."""
-        exponents: dict[int, list[int]] = {}
+        # Insert each order into a descending chain, replacing each pair
+        # (c, t) by (lcm, gcd): per prime, that is an insertion into the
+        # sorted exponents, so the chain is the unique invariant-factor form.
+        chain: list[int] = []
         for t in torsion:
-            if t == 1:
-                continue
             if t < 1:
                 raise ValueError(f"cyclic torsion order must be >= 1, got {t}")
-            for p, e in _factor(t).items():
-                exponents.setdefault(p, []).append(e)
-        depth = max((len(v) for v in exponents.values()), default=0)
-        factors = []
-        for k in range(depth):
-            f = 1
-            for p, es in exponents.items():
-                es_sorted = sorted(es, reverse=True)
-                if k < len(es_sorted):
-                    f *= p ** es_sorted[k]
-            factors.append(f)
-        factors.reverse()  # ascending divisibility chain
-        return cls(free_rank, tuple(factors))
+            for i, c in enumerate(chain):
+                g = gcd(c, t)
+                chain[i], t = c // g * t, g
+            if t > 1:
+                chain.append(t)
+        return cls(free_rank, tuple(reversed(chain)))
 
     @classmethod
     def cyclic(cls, n: int) -> "FGAbelianGroup":
@@ -81,16 +65,8 @@ class FGAbelianGroup:
 
     def localized_away(self, primes: Iterable[int]) -> "FGAbelianGroup":
         """Invert the given primes: kills the torsion supported on them."""
-        away = set(primes)
-        kept: list[int] = []
-        for t in self.torsion:
-            reduced = 1
-            for p, e in _factor(t).items():
-                if p not in away:
-                    reduced *= p**e
-            if reduced > 1:
-                kept.append(reduced)
-        return FGAbelianGroup.of(self.free_rank, kept)
+        away = tuple(primes)
+        return FGAbelianGroup.of(self.free_rank, [prime_to_part(t, away) for t in self.torsion])
 
     def __str__(self) -> str:
         parts = []

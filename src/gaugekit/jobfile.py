@@ -116,7 +116,11 @@ def parse_primes(field: str) -> frozenset[int]:
             v = int(p)
         except ValueError:
             raise SchemaError(f"localize_away entries must be integers, got {p!r}") from None
-        if not is_prime(v):
+        try:
+            prime = is_prime(v)
+        except ValueError as exc:
+            raise SchemaError(f"localize_away entry {v}: {exc}") from None
+        if not prime:
             raise SchemaError(f"localize_away entries must be prime, got {v}")
         primes.add(v)
     return frozenset(primes)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import CyclicElem, element_order, prime_factors
+from .exact import CyclicElem, element_order, prime_to_part
 
 __all__ = [
     "SpaceExpr",
@@ -270,7 +270,7 @@ def _rebuild(e: SpaceExpr, primes: frozenset[int]) -> SpaceExpr:
     if isinstance(e, TwoCell):
         x = two_cell(e.bottom, e.attach)
         if primes and isinstance(x, TwoCell):
-            if prime_factors(element_order(x.attach.value, x.attach.modulus)) <= primes:
+            if prime_to_part(element_order(x.attach.value, x.attach.modulus), primes) == 1:
                 return wedge(Sphere(x.bottom), Sphere(x.top))
         return x
     if isinstance(e, AttachedComplex):

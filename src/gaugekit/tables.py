@@ -228,8 +228,13 @@ class Tables:
     def _find(self, space: str, degree: int) -> TableEntry:
         family, params = parse_space(space)
         for entry in self._families.get(family, ()):
-            if all(p in params for p in entry.params) and entry.matches(params, degree):
-                return entry
+            try:
+                if all(p in params for p in entry.params) and entry.matches(params, degree):
+                    return entry
+            except ZeroDivisionError:
+                raise NotTabulatedError(
+                    space, degree, f"the record ({entry.citation}) divides by zero for this query"
+                ) from None
         raise NotTabulatedError(space, degree)
 
     def pi(self, space: str, degree: int) -> GroupQueryResult:

@@ -1,8 +1,10 @@
 """Independent oracles for the test suite: second-algorithm Bernoulli
 numbers, the von Staudt-Clausen denominator, the exhaustive representative
 gcd search, brute-force subgroup closures, row-operation orbit enumeration,
-mod-2 rank by row-space counting, and the per-query tree-walking evaluator
-for table records.
+mod-2 rank by row-space counting, the per-query tree-walking evaluator
+for table records, the factoring forms of invariant factors, localization
+and primality, and a helper that runs a statement in a fresh interpreter
+under a timeout.
 
 Nothing here calls the engine's own code paths for the quantity it checks.
 """
@@ -11,11 +13,16 @@ from __future__ import annotations
 
 import ast
 import operator
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import deque
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from typing import Iterable, Sequence
 
 
@@ -356,3 +363,115 @@ def reference_matches(
     if validity is not None and not _evaluate(validity, env):
         return False
     return True
+
+
+# --- factoring references for the gcd-based exact arithmetic ----------------
+
+def trial_division_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return False
+        p += 1 if p == 2 else 2
+    return True
+
+
+def factor(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1 by trial division, as {p: exponent}."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def factored_of(free_rank: int, torsion: Iterable[int]):
+    """Invariant factors from the prime-power decomposition: the k-th largest
+    factor is the product over p of p to the k-th largest exponent."""
+    from gaugekit.groups import FGAbelianGroup
+
+    exponents: dict[int, list[int]] = {}
+    for t in torsion:
+        for p, e in factor(t).items():
+            exponents.setdefault(p, []).append(e)
+    depth = max((len(v) for v in exponents.values()), default=0)
+    factors = []
+    for k in range(depth):
+        f = 1
+        for p, es in exponents.items():
+            es_sorted = sorted(es, reverse=True)
+            if k < len(es_sorted):
+                f *= p ** es_sorted[k]
+        factors.append(f)
+    return FGAbelianGroup(free_rank, tuple(reversed(factors)))
+
+
+def factored_localized_away(group, primes: Iterable[int]):
+    """Drop the prime powers of the given primes from every torsion factor."""
+    away = set(primes)
+    kept = []
+    for t in group.torsion:
+        reduced = 1
+        for p, e in factor(t).items():
+            if p not in away:
+                reduced *= p**e
+        kept.append(reduced)
+    return factored_of(group.free_rank, kept)
+
+
+def two_cell_splits(order: int, primes: Iterable[int]) -> bool:
+    """A two-cell complex splits away from the primes when every prime factor
+    of its attaching class's order is among them."""
+    return set(factor(order)) <= set(primes)
+
+
+def split_two_cells(e, primes: Iterable[int]):
+    """The tree with every two-cell complex that `two_cell_splits` away from
+    the primes replaced by the (raw) wedge of its cells; other nodes are
+    copied field by field."""
+    from gaugekit.spaces import Sphere, SpaceExpr, TwoCell, Wedge
+
+    primes = set(primes)
+    if isinstance(e, TwoCell):
+        order = e.attach.modulus // gcd(e.attach.modulus, e.attach.value)
+        if two_cell_splits(order, primes):
+            return Wedge((Sphere(e.bottom), Sphere(e.top)))
+        return e
+    changes = {}
+    for f in fields(e):
+        value = getattr(e, f.name)
+        if isinstance(value, SpaceExpr):
+            changes[f.name] = split_two_cells(value, primes)
+        elif isinstance(value, tuple):
+            changes[f.name] = tuple(split_two_cells(x, primes) for x in value)
+    return replace(e, **changes)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def seconds_in_fresh_interpreter(statement: str) -> float:
+    """Run `import gaugekit` and then `statement` in a fresh interpreter and
+    return how long the statement took.  The child is killed after 10 s, so
+    a statement that hangs fails the test (TimeoutExpired) instead of
+    stalling the suite; a statement that raises fails it too."""
+    code = (
+        "import time, gaugekit\n"
+        "start = time.perf_counter()\n"
+        f"{statement}\n"
+        "print(time.perf_counter() - start)\n"
+    )
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=10, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    return float(done.stdout.split()[-1])

@@ -3,6 +3,8 @@ from pathlib import Path
 
 from gaugekit.cli import main
 
+from support import seconds_in_fresh_interpreter
+
 WALL_E6 = """\
 kind: wall
 n: 5
@@ -121,10 +123,12 @@ def test_no_splitting_exits_2(tmp_path, capsys):
 
 
 def test_bad_prime_exits_4(tmp_path, capsys):
-    path = write(tmp_path, "p.job", WALL_E6 + "localize_away: 6\n")
-    code, out, err = run(capsys, "decompose", path)
-    assert code == 4
-    assert "prime" in err
+    # 6 is composite; 3.4e24 is past the bound below which is_prime is exact
+    for away in ("6", "3400000000000000000000001"):
+        path = write(tmp_path, "p.job", WALL_E6 + f"localize_away: {away}\n")
+        code, out, err = run(capsys, "decompose", path)
+        assert code == 4
+        assert "prime" in err
 
 
 def test_unknown_kind_exits_4(tmp_path, capsys):
@@ -255,3 +259,9 @@ def test_sample_jobs_all_run(capsys):
     for job in sorted(samples.glob("*.job")):
         code, out, err = run(capsys, "decompose", str(job))
         assert code == 0, (job.name, err)
+
+
+def test_large_prime_localize_away_exits_0_promptly(tmp_path):
+    path = write(tmp_path, "big.job", WALL_E6 + "localize_away: 1000000000000000003\n")
+    statement = f"import gaugekit.cli; assert gaugekit.cli.main(['decompose', {str(path)!r}]) == 0"
+    assert seconds_in_fresh_interpreter(statement) < 1.0

@@ -9,11 +9,16 @@ from gaugekit.exact import (
     gcd_mod,
     imj_order,
     is_prime,
-    prime_factors,
+    prime_to_part,
     subgroup_generator,
 )
 
-from support import bernoulli_unsigned, defgcd_exhaustive, von_staudt_denominator
+from support import (
+    bernoulli_unsigned,
+    defgcd_exhaustive,
+    trial_division_is_prime,
+    von_staudt_denominator,
+)
 
 
 # frozen values, confirmed by the series/Akiyama-Tanigawa oracles below
@@ -135,6 +140,28 @@ def test_subgroup_generator():
 def test_element_order_and_primes():
     assert element_order(120, 240) == 2
     assert element_order(0, 7) == 1
-    assert prime_factors(240) == {2, 3, 5}
-    assert prime_factors(1) == set()
+    assert prime_to_part(240, {2, 3, 5}) == 1
+    assert prime_to_part(1, ()) == 1
     assert is_prime(2) and is_prime(13) and not is_prime(15) and not is_prime(1)
+
+
+def test_prime_to_part_divides_out_every_power():
+    assert prime_to_part(240, {2}) == 15
+    assert prime_to_part(-240, {3, 7}) == 80
+    assert prime_to_part(2**64 * 3**40 * 10000000000000000051, {2, 3}) == 10000000000000000051
+    assert prime_to_part(97, {1}) == 97  # 1 is a no-op
+    with pytest.raises(ValueError):
+        prime_to_part(0, {2})
+
+
+def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
+    for n in range(-2, 200_000):
+        assert is_prime(n) == trial_division_is_prime(n), n
+    # strong pseudoprimes to the first several prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(10000000000000000051) and is_prime(1000000000000000003)
+    assert is_prime(2**61 - 1) and not is_prime((2**61 - 1) * (2**19 - 1))
+    assert not is_prime(3317044064679887385961980)
+    with pytest.raises(ValueError, match="is_prime decides only"):
+        is_prime(3317044064679887385961981)

@@ -5,6 +5,8 @@ import pytest
 
 from gaugekit.groups import TRIVIAL, Z, FGAbelianGroup
 
+from support import factored_localized_away, factored_of
+
 
 def test_canonicalization_examples():
     assert FGAbelianGroup.of(0, [2, 3]) == FGAbelianGroup(0, (6,))
@@ -60,3 +62,19 @@ def test_localized_away():
 def test_cyclic_constructor():
     assert FGAbelianGroup.cyclic(0) == Z
     assert FGAbelianGroup.cyclic(24) == FGAbelianGroup.of(0, [24])
+
+
+def test_gcd_lcm_forms_match_the_factoring_forms():
+    rng = random.Random(5)
+    prime_pool = (2, 3, 5, 7, 11, 13, 101)
+    for _ in range(20_000):
+        torsion = [
+            rng.choice((1, rng.randrange(1, 100), rng.choice(prime_pool) ** rng.randrange(1, 4)))
+            * rng.choice((1, 1, 2, 6, 240))
+            for _ in range(rng.randrange(0, 6))
+        ]
+        free_rank = rng.randrange(0, 3)
+        g = FGAbelianGroup.of(free_rank, torsion)
+        assert g == factored_of(free_rank, torsion), torsion
+        primes = set(rng.sample(prime_pool, rng.randrange(0, 4)))
+        assert g.localized_away(primes) == factored_localized_away(g, primes), (torsion, primes)

@@ -23,7 +23,7 @@ from gaugekit.spaces import (
     wedge,
 )
 
-from support import denormalize, random_expr
+from support import denormalize, random_expr, seconds_in_fresh_interpreter, split_two_cells
 
 
 def test_wedge_flattens_sorts_and_collapses():
@@ -138,3 +138,19 @@ def test_sort_is_deterministic_across_orders():
         rng.shuffle(parts)
         w2 = wedge(*parts)
         assert w1 == w2
+
+
+def test_localize_matches_the_factoring_split_rule():
+    rng = random.Random(21)
+    for _ in range(500):
+        e = random_expr(rng, depth=3)
+        for primes in ({2}, {3}, {5}, {2, 3}, {2, 5}, {3, 5}, {2, 3, 5}, {7}):
+            assert localize(e, primes) == normalize(split_two_cells(e, primes)), (e, primes)
+
+
+def test_localize_with_a_large_prime_order_returns_promptly():
+    statement = (
+        "e = gaugekit.parse('TC(3,6;1 mod 10000000000000000051)'); "
+        "assert gaugekit.localize(e, {2}) == e"
+    )
+    assert seconds_in_fresh_interpreter(statement) < 1.0

@@ -12,7 +12,7 @@ from gaugekit.tables import (
     parse_space,
 )
 
-from support import reference_matches
+from support import reference_matches, seconds_in_fresh_interpreter
 
 Zof = FGAbelianGroup.of
 T = default_tables()
@@ -170,6 +170,11 @@ def test_inline_tables():
     ):
         with pytest.raises(ValueError, match="<inline>:1"):
             Tables.from_lines([record])
+    # a record that divides by zero for some params is untabulated there
+    t = Tables.from_lines(["S^n, n, 3, 0, -, q // (n - 5) >= 0, divisor record"])
+    assert t.pi("S^6", 3).group.is_trivial()
+    with pytest.raises(NotTabulatedError, match="divisor record"):
+        t.pi("S^5", 3)
 
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "gaugekit" / "data"
@@ -208,3 +213,11 @@ def test_require_vanishing_reports_the_tabulated_group():
     with pytest.raises(HypothesisNotMetError) as err:
         t.require_vanishing("Gt", 5, 6, "the test", frozenset({2, 3}))
     assert (err.value.degree, err.value.group) == (6, Zof(0, [10]))
+
+
+def test_large_prime_torsion_order_loads_promptly():
+    statement = (
+        "t = gaugekit.Tables.from_lines(['Gbig, -, 3, 0, 10000000000000000051, -, x']); "
+        "assert str(t.pi('Gbig', 3).group) == 'Z/10000000000000000051'"
+    )
+    assert seconds_in_fresh_interpreter(statement) < 1.0
