@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 from .decompose import DecompositionError, decompose
 from .jobfile import SchemaError, parse_job_file, parse_primes
@@ -43,25 +45,27 @@ def _describe(job) -> str:
     return f"{job.kind} ({params}), group {job.group}"
 
 
-def _trace_lines(job) -> list[str]:
+def _trace_lines(job) -> Iterator[str]:
     if not isinstance(job.spec, GeneralComplex):
-        return ["trace: no row-operation log for this job kind"]
+        yield "trace: no row-operation log for this job kind"
+        return
     reduced, report = reduce_with_report(job.spec.B)
-    lines = [f"trace: {len(reduced.oplog)} row operations"]
-    lines.extend(f"  {op}" for op in reduced.oplog_lines())
-    lines.append(f"trace: diagonal {list(report.pivots)}")
+    # one unit operation a line: `add a b k` is printed as k lines `add a b`
+    yield f"trace: {sum(op.k for op in reduced.oplog)} row operations"
+    for op in reduced.oplog:
+        unit = f"  {replace(op, k=1)}"
+        for _ in range(op.k):
+            yield unit
+    yield f"trace: diagonal {list(report.pivots)}"
     for note in report.notes:
-        lines.append(f"trace: note: {note}")
+        yield f"trace: note: {note}"
     orbit = rowop_orbit(job.spec.B.entries, job.spec.B.moduli, _ORBIT_STATE_CAP)
     if orbit is None:
-        lines.append("trace: oracle: orbit search skipped (state space too large)")
+        yield "trace: oracle: orbit search skipped (state space too large)"
     elif reduced.entries in orbit:
-        lines.append(
-            f"trace: oracle: reduced form confirmed reachable (orbit of {len(orbit)} states)"
-        )
+        yield f"trace: oracle: reduced form confirmed reachable (orbit of {len(orbit)} states)"
     else:
-        lines.append("trace: oracle: REDUCED FORM NOT IN ORBIT (certification failure)")
-    return lines
+        yield "trace: oracle: REDUCED FORM NOT IN ORBIT (certification failure)"
 
 
 def _run_one(path: Path, args) -> int:

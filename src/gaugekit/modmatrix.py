@@ -40,14 +40,20 @@ _KINDS = ("add", "swap", "negate")
 class RowOp:
     """One restricted elementary row operation, with 1-based row indices.
 
-    add(a, b):  row a += row b        (a != b)
-    swap(a, b): exchange rows a, b    (a != b)
-    negate(a):  row a *= -1
+    add(a, b, k): row a += k * row b  (a != b, k >= 1)
+    swap(a, b):   exchange rows a, b  (a != b)
+    negate(a):    row a *= -1
+
+    The multiplicity k of an add is shorthand for k unit adds in a row, so
+    every operation is still an element of the restricted group; swap and
+    negate always have k = 1.  The text form is ``add a b`` for k = 1 and
+    ``add a b k`` otherwise.
     """
 
     kind: str
     a: int
     b: int = 0
+    k: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -61,10 +67,14 @@ class RowOp:
                 raise ValueError(f"{self.kind} requires two distinct rows")
         elif self.b != 0:
             raise ValueError("negate takes a single row index")
+        if self.k < 1:
+            raise ValueError("an add multiplicity must be >= 1")
+        if self.k != 1 and self.kind != "add":
+            raise ValueError(f"{self.kind} takes no multiplicity")
 
     @classmethod
-    def add(cls, a: int, b: int) -> "RowOp":
-        return cls("add", a, b)
+    def add(cls, a: int, b: int, k: int = 1) -> "RowOp":
+        return cls("add", a, b, k)
 
     @classmethod
     def swap(cls, a: int, b: int) -> "RowOp":
@@ -77,6 +87,8 @@ class RowOp:
     def __str__(self) -> str:
         if self.kind == "negate":
             return f"negate {self.a}"
+        if self.k != 1:
+            return f"add {self.a} {self.b} {self.k}"
         return f"{self.kind} {self.a} {self.b}"
 
     @classmethod
@@ -87,8 +99,8 @@ class RowOp:
         kind, idx = parts[0], [int(p) for p in parts[1:]]
         if kind == "negate" and len(idx) == 1:
             return cls.negate(idx[0])
-        if kind in ("add", "swap") and len(idx) == 2:
-            return cls(kind, idx[0], idx[1])
+        if (kind, len(idx)) in (("swap", 2), ("add", 2), ("add", 3)):
+            return cls(kind, *idx)
         raise ValueError(f"malformed row-operation line {line!r}")
 
 
@@ -98,9 +110,8 @@ def _apply_inplace(rows: list[list[int]], moduli: Sequence[int], op: RowOp) -> N
         b = op.b - 1
         rows[a], rows[b] = rows[b], rows[a]
     elif op.kind == "add":
-        b = op.b - 1
-        src = rows[b]
-        rows[a] = [(x + y) % d for x, y, d in zip(rows[a], src, moduli)]
+        k = op.k
+        rows[a] = [(x + k * y) % d for x, y, d in zip(rows[a], rows[op.b - 1], moduli)]
     else:
         rows[a] = [(-x) % d for x, d in zip(rows[a], moduli)]
 
@@ -211,6 +222,12 @@ def reduce_with_report(B: AttachingMatrix) -> tuple[AttachingMatrix, ReductionRe
     shortfall against the subgroup generator is recorded in the report.
     Discrepancies between attained diagonals and the full-column gcd of the
     input are likewise recorded, never corrected.
+
+    Each Euclidean step ``row i -= q * row p`` is logged as ``negate p``,
+    ``add i p q``, ``negate p``, and staging a pivot's inverse k is one
+    ``add spare p k``, so the log has O(m * r * log d) entries and the
+    reduction takes time polynomial in the bits of the moduli.  Expanding
+    every ``add a b k`` into k unit adds gives the unit-operation log.
     """
     m, r = B.m, B.r
     full_column_gcd = [gcd_mod(B.column(j)) for j in range(1, r + 1)]
@@ -229,8 +246,7 @@ def reduce_with_report(B: AttachingMatrix) -> tuple[AttachingMatrix, ReductionRe
         if q <= 0:
             return
         do(RowOp.negate(p + 1))
-        for _ in range(q):
-            do(RowOp.add(i + 1, p + 1))
+        do(RowOp.add(i + 1, p + 1, q))
         do(RowOp.negate(p + 1))
 
     for j in range(min(m, r)):
@@ -260,10 +276,7 @@ def reduce_with_report(B: AttachingMatrix) -> tuple[AttachingMatrix, ReductionRe
             spare = next((i for i in free if i != p), None)
             if spare is not None:
                 # stage k*v = g (mod d) in the spare row, then clear row p
-                vp, dp = v // g, d // g
-                k = pow(vp, -1, dp)
-                for _ in range(k):
-                    do(RowOp.add(spare + 1, p + 1))
+                do(RowOp.add(spare + 1, p + 1, pow(v // g, -1, d // g)))
                 subtract(p, spare, v // g)
                 p = spare
             else:

@@ -199,12 +199,15 @@ class _Parser:
 
 def parse(text: str) -> SpaceExpr:
     """Parse a rendered space expression back to its canonical tree.  Every
-    rejection, including a node constructor's, raises ParseError."""
+    rejection, including a node constructor's and nesting deeper than the
+    interpreter's recursion limit, raises ParseError."""
     parser = _Parser(_tokenize(text))
     try:
         expr = parser.parse_expr()
     except ValueError as exc:  # a node constructor's rejection, or a ParseError
         raise ParseError(str(exc)) from None
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if parser.pos != len(parser.tokens):
         kind, value = parser.tokens[parser.pos]
         raise ParseError(f"trailing input at token {kind} {value!r}")

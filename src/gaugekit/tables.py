@@ -146,7 +146,10 @@ def _parse_record(line: str, source: str) -> TableEntry:
         family, params_f, degree_spec, rank_f, torsion_f, validity_f, citation = fields
         params = () if params_f == "-" else tuple(params_f.split())
         validity = None if validity_f == "-" else validity_f
-        condition = _condition(degree_spec, validity, frozenset(params) | {"q"}, source)
+        try:
+            condition = _condition(degree_spec, validity, frozenset(params) | {"q"}, source)
+        except (RecursionError, MemoryError):  # from ast.parse or compile
+            raise ValueError("table expression nested too deeply") from None
         free_rank = int(rank_f)
         groups = tuple(
             FGAbelianGroup.of(free_rank, [] if alt.strip() == "-" else map(int, alt.split()))

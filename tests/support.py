@@ -1,6 +1,7 @@
 """Independent oracles for the test suite: second-algorithm Bernoulli
 numbers, the von Staudt-Clausen denominator, the exhaustive representative
 gcd search, brute-force subgroup closures, row-operation orbit enumeration,
+the restricted reduction with unit row additions only,
 mod-2 rank by row-space counting, the per-query tree-walking evaluator
 for table records, the factoring forms of invariant factors, localization
 and primality, and a helper that runs a statement in a fresh interpreter
@@ -148,6 +149,89 @@ def orbit_of(state: tuple[int, ...], d: int, cap: int = 300_000) -> frozenset[tu
                 seen.add(nxt)
                 queue.append(nxt)
     return frozenset(seen)
+
+
+def unary_reduce_with_report(entries: Sequence[Sequence[int]], moduli: Sequence[int]):
+    """The restricted reduction with every add spelled as unit ``add a b``
+    lines: the engine's algorithm before adds carried a multiplicity, so
+    its cost follows the value of the moduli.  Returns (entries, log lines,
+    pivots, notes) with the engine's note texts."""
+    m, r = len(entries), len(moduli)
+    rows = [[v % d for v, d in zip(row, moduli)] for row in entries]
+    full_column_gcd = []
+    for j, d in enumerate(moduli):
+        column = [row[j] for row in rows]
+        g = d
+        for v in column:
+            g = gcd(g, v)
+        full_column_gcd.append(column[0] if m == 1 else g % d)
+    log: list[str] = []
+    notes: list[str] = []
+    pivots: list[int] = []
+
+    def do(kind: str, a: int, b: int | None = None) -> None:
+        if kind == "add":
+            rows[a] = [(x + y) % d for x, y, d in zip(rows[a], rows[b], moduli)]
+        elif kind == "swap":
+            rows[a], rows[b] = rows[b], rows[a]
+        else:
+            rows[a] = [(-x) % d for x, d in zip(rows[a], moduli)]
+        log.append(f"{kind} {a + 1}" if b is None else f"{kind} {a + 1} {b + 1}")
+
+    def subtract(i: int, p: int, q: int) -> None:
+        if q <= 0:
+            return
+        do("negate", p)
+        for _ in range(q):
+            do("add", i, p)
+        do("negate", p)
+
+    for j in range(min(m, r)):
+        d = moduli[j]
+        free = range(j, m)
+        while True:
+            nz = [(rows[i][j], i) for i in free if rows[i][j] != 0]
+            if len(nz) <= 1:
+                break
+            vp, p = min(nz)
+            for vi, i in nz:
+                if i != p:
+                    subtract(i, p, vi // vp)
+        nz = [(rows[i][j], i) for i in free if rows[i][j] != 0]
+        if not nz:
+            pivots.append(0)
+            continue
+        v, p = nz[0]
+        g = gcd(v, d)
+        if v != g:
+            spare = next((i for i in free if i != p), None)
+            if spare is not None:
+                for _ in range(pow(v // g, -1, d // g)):
+                    do("add", spare, p)
+                subtract(p, spare, v // g)
+                p = spare
+            else:
+                if d - v < v:
+                    do("negate", p)
+                attained = rows[p][j]
+                if attained != g:
+                    notes.append(
+                        f"column {j + 1}: attained pivot {attained}, but the least "
+                        f"positive generator of the entry subgroup is {g} "
+                        f"(unreachable with a single free row; orbit is "
+                        f"{{{min(v, d - v)}, {max(v, d - v)}}})"
+                    )
+        if p != j:
+            do("swap", j, p)
+        pivots.append(rows[j][j])
+
+    for j, (got, want) in enumerate(zip(pivots, full_column_gcd), start=1):
+        if got != want:
+            notes.append(
+                f"column {j}: attained diagonal {got} differs from the full-column "
+                f"gcd {want} (earlier pivots consume rows under restricted operations)"
+            )
+    return tuple(tuple(row) for row in rows), log, tuple(pivots), tuple(notes)
 
 
 def rank_f2_bruteforce(rows: Sequence[Sequence[int]]) -> int:

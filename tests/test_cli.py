@@ -55,6 +55,69 @@ B:
 group: E7
 """
 
+COMPLEX_120_JOB = """\
+kind: complex
+n: 6
+m: 3
+moduli: 120
+B:
+32
+112
+0
+group: E7
+"""
+
+# --trace prints one unit row operation a line; perfbench/oracle.py replays
+# exactly this text
+TRACE_COMPLEX_E7 = """\
+job: complex (n=6, m=3), group E7
+suspension: Sigma^1 (S^6 u e^12) v S^7 v S^7
+gauge: G_alpha(S^6 u e^12) x Omega^6 E7 x Omega^6 E7
+theorem: two-cone gauge factorization via restricted row reduction of the suspended attaching matrix
+trace: 8 row operations
+  negate 1
+  add 2 1
+  negate 1
+  negate 2
+  add 1 2
+  add 1 2
+  negate 2
+  swap 1 2
+trace: diagonal [1]
+trace: oracle: reduced form confirmed reachable (orbit of 11648 states)
+"""
+
+TRACE_COMPLEX_120 = """\
+job: complex (n=6, m=3), group E7
+suspension: Sigma^1 (S^6 u e^12) v S^7 v S^7
+gauge: G_alpha(S^6 u e^12) x Omega^6 E7 x Omega^6 E7
+theorem: two-cone gauge factorization via restricted row reduction of the suspended attaching matrix
+trace: 21 row operations
+  negate 1
+  add 2 1
+  add 2 1
+  add 2 1
+  negate 1
+  negate 2
+  add 1 2
+  add 1 2
+  negate 2
+  add 1 2
+  add 1 2
+  add 1 2
+  add 1 2
+  add 1 2
+  add 1 2
+  add 1 2
+  add 1 2
+  negate 1
+  add 2 1
+  add 2 1
+  negate 1
+trace: diagonal [8]
+trace: oracle: reduced form confirmed reachable (orbit of 3224 states)
+"""
+
 BUNDLE_JOB = """\
 kind: sphere_bundle
 q: 5
@@ -170,6 +233,13 @@ def test_trace_dumps_oplog_and_oracle(tmp_path, capsys):
     assert "oracle: reduced form confirmed reachable" in out
 
 
+def test_trace_text_is_one_unit_operation_a_line(tmp_path, capsys):
+    sample = Path(__file__).resolve().parents[1] / "sample_jobs" / "complex_e7.job"
+    assert run(capsys, "decompose", str(sample), "--trace") == (0, TRACE_COMPLEX_E7, "")
+    path = write(tmp_path, "cx120.job", COMPLEX_120_JOB)
+    assert run(capsys, "decompose", path, "--trace") == (0, TRACE_COMPLEX_120, "")
+
+
 def test_trace_on_wall_job_notes_absence(tmp_path, capsys):
     path = write(tmp_path, "wall.job", WALL_E6)
     code, out, err = run(capsys, "decompose", path, "--trace")
@@ -246,6 +316,19 @@ def test_malformed_table_record_exits_4(tmp_path, capsys, monkeypatch):
     assert out == ""
 
 
+def test_deeply_nested_table_record_exits_4(tmp_path, capsys, monkeypatch):
+    tables_dir = tmp_path / "tables"
+    tables_dir.mkdir()
+    path = write(tmp_path, "wall.job", WALL_E6)
+    monkeypatch.setenv("GAUGEKIT_TABLES", str(tables_dir))
+    for degree in ("+".join(["q"] * 20000), "-" * 20000 + "q"):
+        (tables_dir / "deep.tbl").write_text(f"E6, -, {degree}, 0, -, -, x\n", encoding="utf-8")
+        code, out, err = run(capsys, "decompose", path)
+        assert code == 4
+        assert err == f"error: {tables_dir / 'deep.tbl'}:1: table expression nested too deeply\n"
+        assert out == ""
+
+
 def test_empty_tables_directory_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GAUGEKIT_TABLES", str(tmp_path / "missing"))
     path = write(tmp_path, "wall.job", WALL_E6)
@@ -263,5 +346,15 @@ def test_sample_jobs_all_run(capsys):
 
 def test_large_prime_localize_away_exits_0_promptly(tmp_path):
     path = write(tmp_path, "big.job", WALL_E6 + "localize_away: 1000000000000000003\n")
+    statement = f"import gaugekit.cli; assert gaugekit.cli.main(['decompose', {str(path)!r}]) == 0"
+    assert seconds_in_fresh_interpreter(statement) < 1.0
+
+
+def test_complex_job_on_a_huge_modulus_exits_0_promptly(tmp_path):
+    # row 2 is a huge multiple of row 1, and the pivot 3 has a huge inverse
+    job = COMPLEX_JOB.replace("moduli: 24", "moduli: 1099511627776").replace(
+        "B:\n2\n3\n", "B:\n3\n1099511627775\n"
+    )
+    path = write(tmp_path, "huge.job", job)
     statement = f"import gaugekit.cli; assert gaugekit.cli.main(['decompose', {str(path)!r}]) == 0"
     assert seconds_in_fresh_interpreter(statement) < 1.0

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import isqrt
 
 import pytest
 
@@ -21,7 +22,9 @@ from support import (
     least_positive_generator,
     orbit_of,
     rank_f2_bruteforce,
+    seconds_in_fresh_interpreter,
     subgroup_closure,
+    unary_reduce_with_report,
 )
 
 
@@ -60,8 +63,35 @@ def test_rowop_validation_and_parse():
         RowOp.add(2, 2)
     with pytest.raises(ValueError):
         RowOp("scale", 1)
-    for op in (RowOp.add(2, 1), RowOp.swap(1, 3), RowOp.negate(2)):
+    for op in (
+        RowOp.add(2, 1), RowOp.swap(1, 3), RowOp.negate(2), RowOp.add(1, 3, 2), RowOp.add(3, 1, 2**81 + 1)
+    ):
         assert RowOp.parse(str(op)) == op
+
+
+def test_rowop_multiplicity():
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            RowOp.add(1, 2, bad)
+    with pytest.raises(ValueError):
+        RowOp("swap", 1, 2, 2)
+    with pytest.raises(ValueError):
+        RowOp("negate", 1, 0, 3)
+    assert RowOp.add(2, 1) == RowOp("add", 2, 1, 1)
+    assert str(RowOp.add(2, 1)) == "add 2 1"
+    assert str(RowOp.add(2, 1, 5)) == "add 2 1 5"
+    assert RowOp.parse("add 2 1 1") == RowOp.add(2, 1)
+    for line in ("add 2 1 0", "add 2 1 -3", "swap 1 2 2", "negate 1 2", "add 1 2 3 4"):
+        with pytest.raises(ValueError):
+            RowOp.parse(line)
+    B = AttachingMatrix(moduli=(8, 16), entries=((3, 5), (1, 7)))
+    B5 = apply_rowop(B, RowOp.add(1, 2, 5))
+    assert rows(B5) == [[0, 8], [1, 7]]
+    unit = B
+    for _ in range(5):
+        unit = apply_rowop(unit, RowOp.add(1, 2))
+    assert unit.entries == B5.entries
+    assert replay_oplog(B5) == B5.entries
 
 
 def test_matrix_validation():
@@ -179,6 +209,63 @@ def test_oplog_lines_round_trip():
     R = reduce_restricted(B)
     lines = R.oplog_lines()
     assert [RowOp.parse(line) for line in lines] == list(R.oplog)
+
+
+def _unit_lines(oplog):
+    """The log with every `add a b k` written out as k lines `add a b`."""
+    out = []
+    for op in oplog:
+        out.extend([f"add {op.a} {op.b}"] * op.k if op.kind == "add" else [str(op)])
+    return out
+
+
+def _divisors(n):
+    small = [x for x in range(1, isqrt(n) + 1) if n % x == 0]
+    return sorted({*small, *(n // x for x in small)})
+
+
+def test_compact_log_matches_unary_reference():
+    rng = random.Random(65520)
+    divisors_65520 = _divisors(65520)
+    for trial in range(200):
+        m = rng.randrange(1, 6)
+        r = rng.randrange(1, 4)
+        moduli = [rng.choice(divisors_65520) if trial % 2 else rng.randrange(2, 65521)]
+        while len(moduli) < r:
+            moduli.insert(0, rng.choice(_divisors(moduli[0])))
+        entries = [
+            [rng.choice((0, 1, d - 1, rng.randrange(d), rng.randrange(d))) for d in moduli]
+            for _ in range(m)
+        ]
+        B = AttachingMatrix.from_rows(entries, moduli)
+        R, report = reduce_with_report(B)
+        want_entries, want_log, want_pivots, want_notes = unary_reduce_with_report(entries, moduli)
+        assert _unit_lines(R.oplog) == want_log, (entries, moduli)
+        assert R.entries == want_entries
+        assert report.pivots == want_pivots
+        assert report.notes == want_notes
+        assert replay_oplog(R) == R.entries
+        assert len(R.oplog) <= 8 * m * r * (moduli[-1].bit_length() + 2)
+
+
+def test_reduce_cost_follows_the_bits_of_the_modulus():
+    # each input would need more unit adds than fit in the time bound
+    cases = [
+        ([[1], [2**64 - 1], [0]], [2**64]),
+        ([[3], [0]], [2**81]),
+        ([[832040 * 2**60], [1346269 * 2**60], [7]], [2**81]),
+        ([[3, 5], [2**40 - 1, 2**81 - 7], [5, 1]], [2**40, 2**81]),
+    ]
+    statement = (
+        "from gaugekit.modmatrix import AttachingMatrix, reduce_with_report, replay_oplog\n"
+        f"for entries, moduli in {cases!r}:\n"
+        "    R, report = reduce_with_report(AttachingMatrix.from_rows(entries, moduli))\n"
+        "    assert replay_oplog(R) == R.entries\n"
+        "    bound = 8 * len(entries) * len(moduli) * (max(moduli).bit_length() + 2)\n"
+        "    assert len(R.oplog) <= bound, (entries, len(R.oplog), bound)\n"
+        "    assert report.pivots[0] == 1, report\n"
+    )
+    assert seconds_in_fresh_interpreter(statement) < 1.0
 
 
 def test_rowop_orbit_engine_matches_oracle():

@@ -109,6 +109,9 @@ def test_parse_errors():
     for text in ("Sigma^0 S^3", "Sigma^0 E8", "Omega^0 E8", "TC(3,6;1 mod 0)"):
         with pytest.raises(ParseError):
             parse(text)
+    for text in ("Omega^1 " * 3000 + "S^3", "(" * 3000 + "S^3" + ")" * 3000):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse(text)
 
 
 def test_parse_accepts_optional_gauge_group_annotation():

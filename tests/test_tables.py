@@ -167,6 +167,9 @@ def test_inline_tables():
         "Gtest, n, 1, 0, -, n.real, attribute",
         'Gtest, n, 1, 0, -, "x", string constant',
         'Gtest, n, 1, 0, -, __import__("os"), call',
+        "Gtest, n, " + "+".join(["n"] * 20000) + ", 0, -, -, deep sum",
+        "Gtest, n, " + "-" * 20000 + "n, 0, -, -, deep negation",
+        "Gtest, n, 1, 0, -, " + "+".join(["n"] * 1500) + " > 0, deep to compile",
     ):
         with pytest.raises(ValueError, match="<inline>:1"):
             Tables.from_lines([record])
