@@ -2,6 +2,10 @@
 invariants in finite cyclic groups, and prime-to-p parts and primality
 without factoring.
 
+Bernoulli numbers come from the integer tangent-number recurrence, so
+bernoulli(s) costs O(s^2) integer multiply-adds and a single gcd; the
+J-image order of the (4s-1)-stem takes its denominator.
+
 Everything here is arbitrary-precision integer/rational arithmetic; there is
 no floating point anywhere in the package.
 """
@@ -10,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from functools import cache
+from math import gcd
 from typing import Iterable
 
 # Exact rationals are stdlib fractions: always in lowest terms, with a
@@ -75,36 +80,31 @@ class CyclicElem:
         return f"{self.value} mod {self.modulus}"
 
 
-# Coefficients c_j of z^j in the series z/(e^z - 1), extended on demand.
-# Multiplying the series by (e^z - 1) and matching coefficients of z^(m+1)
-# gives, for m >= 1,
-#     c_m = -sum_{j=0}^{m-1} c_j / (m + 1 - j)!
-_SERIES: list[Fraction] = [Fraction(1)]
-
-
-def _series_coeff(m: int) -> Fraction:
-    while len(_SERIES) <= m:
-        k = len(_SERIES)
-        acc = Fraction(0)
-        for j, cj in enumerate(_SERIES):
-            acc += cj / factorial(k + 1 - j)
-        _SERIES.append(-acc)
-    return _SERIES[m]
-
-
+@cache
 def bernoulli(s: int) -> Fraction:
     """s-th Bernoulli number in the unsigned even-index convention.
 
     Only even-index Bernoulli numbers appear here, all with positive sign:
     bernoulli(1) = 1/6, bernoulli(2) = 1/30, bernoulli(3) = 1/42, ...
     In terms of the standard signed convention (B_n via z/(e^z-1) =
-    sum B_n z^n / n!), this is |B_{2s}|.  Computed exactly from the
-    coefficient recurrence obtained by multiplying the defining series
-    by (e^z - 1).
+    sum B_n z^n / n!), this is |B_{2s}|.
+
+    Computed from the tangent numbers T_k (tan z = sum T_k z^(2k-1)/(2k-1)!)
+    by the integer recurrence of Brent and Harvey (2011), then
+    |B_{2s}| = 2s T_s / (4^s (4^s - 1)).  That is O(s^2) multiply-adds of
+    small integers by integers of O(s log s) bits, with one gcd at the end
+    when the Fraction is built.  Results are memoized per s.
     """
     if s < 1:
         raise ValueError(f"bernoulli index must be >= 1, got {s}")
-    return abs(_series_coeff(2 * s) * factorial(2 * s))
+    t = [0, 1] + [0] * (s - 1)  # t[k] = T_k
+    for k in range(2, s + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, s + 1):
+        for j in range(k, s + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    power = 4**s
+    return Fraction(2 * s * t[s], power * (power - 1))
 
 
 def imj_order(n: int) -> int:

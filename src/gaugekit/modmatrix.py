@@ -330,25 +330,29 @@ def rowop_orbit(
     max_states: int = 250_000,
 ) -> frozenset[tuple[tuple[int, ...], ...]] | None:
     """Full orbit of a matrix under {add, swap, negate}, by breadth-first
-    search.  Returns None if the orbit exceeds max_states."""
+    search.  Returns None if the orbit exceeds max_states.
+
+    The unit operations act on the state tuples directly: each successor
+    shares every unchanged row with its parent."""
     m = len(entries)
-    ops: list[RowOp] = []
-    for a in range(1, m + 1):
-        ops.append(RowOp.negate(a))
-        for b in range(1, m + 1):
-            if a != b:
-                ops.append(RowOp.add(a, b))
-                if a < b:
-                    ops.append(RowOp.swap(a, b))
+    swaps = [(a, b) for a in range(m) for b in range(a + 1, m)]
     seen = {entries}
     queue = deque([entries])
     while queue:
         state = queue.popleft()
-        rows = [list(row) for row in state]
-        for op in ops:
-            work = [list(row) for row in rows]
-            _apply_inplace(work, moduli, op)
-            nxt = tuple(tuple(row) for row in work)
+        successors = []
+        for a, row in enumerate(state):
+            head, tail = state[:a], state[a + 1 :]
+            successors.append(head + (tuple(-x % d for x, d in zip(row, moduli)),) + tail)
+            for b, other in enumerate(state):
+                if b != a:
+                    added = tuple((x + y) % d for x, y, d in zip(row, other, moduli))
+                    successors.append(head + (added,) + tail)
+        for a, b in swaps:
+            swapped = list(state)
+            swapped[a], swapped[b] = state[b], state[a]
+            successors.append(tuple(swapped))
+        for nxt in successors:
             if nxt not in seen:
                 if len(seen) >= max_states:
                     return None

@@ -1,6 +1,8 @@
-"""Independent oracles for the test suite: second-algorithm Bernoulli
-numbers, the von Staudt-Clausen denominator, the exhaustive representative
-gcd search, brute-force subgroup closures, row-operation orbit enumeration,
+"""Independent oracles for the test suite: Bernoulli numbers by
+Akiyama-Tanigawa and by the Fraction series recurrence, the von
+Staudt-Clausen denominator and the closed-form J-image order over a
+sieve, the exhaustive representative gcd search, brute-force subgroup
+closures, row-operation orbit enumeration (also by list-copying search),
 the restricted reduction with unit row additions only,
 mod-2 rank by row-space counting, the per-query tree-walking evaluator
 for table records, the factoring forms of invariant factors, localization
@@ -22,32 +24,86 @@ import sys
 from collections import deque
 from dataclasses import fields, replace
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 from pathlib import Path
 from typing import Iterable, Sequence
+
+
+# Akiyama-Tanigawa, run in its sequential form: step k appends 1/(k+1) to
+# the row, folds it back to the front, and the front entry is B_k.  The row
+# and the values are extended on demand, so a sweep over s costs one run.
+_AT_ROW: list[Fraction] = []
+_AT_VALUES: list[Fraction] = []
 
 
 def bernoulli_at(k: int) -> Fraction:
     """Akiyama-Tanigawa algorithm for the standard signed Bernoulli number
     B_k (with B_1 = +1/2, which does not affect even indices)."""
-    row = [Fraction(1, j + 1) for j in range(k + 1)]
-    for i in range(1, k + 1):
-        for j in range(k - i + 1):
-            row[j] = (j + 1) * (row[j] - row[j + 1])
-    return row[0]
+    while len(_AT_VALUES) <= k:
+        m = len(_AT_ROW)
+        _AT_ROW.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            _AT_ROW[j - 1] = j * (_AT_ROW[j - 1] - _AT_ROW[j])
+        _AT_VALUES.append(_AT_ROW[0])
+    return _AT_VALUES[k]
 
 
 def bernoulli_unsigned(s: int) -> Fraction:
     return abs(bernoulli_at(2 * s))
 
 
+# Coefficients c_j of z^j in the series z/(e^z - 1), extended on demand.
+# Multiplying the series by (e^z - 1) and matching coefficients of z^(m+1)
+# gives, for m >= 1,
+#     c_m = -sum_{j=0}^{m-1} c_j / (m + 1 - j)!
+_SERIES: list[Fraction] = [Fraction(1)]
+
+
+def series_bernoulli(s: int) -> Fraction:
+    """|B_{2s}| from the Fraction series recurrence: the engine's algorithm
+    before the tangent-number recurrence, O(s^2) Fraction additions that
+    reduce a growing rational at every step."""
+    while len(_SERIES) <= 2 * s:
+        k = len(_SERIES)
+        acc = Fraction(0)
+        for j, cj in enumerate(_SERIES):
+            acc += cj / factorial(k + 1 - j)
+        _SERIES.append(-acc)
+    return abs(_SERIES[2 * s] * factorial(2 * s))
+
+
+def primes_upto(n: int) -> list[int]:
+    """The primes p <= n, by the sieve of Eratosthenes."""
+    composite = bytearray(n + 1)
+    primes = []
+    for p in range(2, n + 1):
+        if not composite[p]:
+            primes.append(p)
+            composite[p * p :: p] = b"\x01" * len(range(p * p, n + 1, p))
+    return primes
+
+
 def von_staudt_denominator(s: int) -> int:
     """Denominator of the 2s-th Bernoulli number: the product of primes p
     with (p - 1) dividing 2s."""
     out = 1
-    for p in range(2, 2 * s + 2):
-        if all(p % q for q in range(2, p)) and (2 * s) % (p - 1) == 0:
+    for p in primes_upto(2 * s + 1):
+        if (2 * s) % (p - 1) == 0:
             out *= p
+    return out
+
+
+def closed_form_imj_order(s: int) -> int:
+    """Order of the stable J-image in the (4s-1)-stem, without Bernoulli
+    numbers: the product over primes p with (p - 1) dividing 2s of
+    p^(1 + v_p(4s)) (von Staudt-Clausen and Adams, J(X) IV)."""
+    out = 1
+    for p in primes_upto(2 * s + 1):
+        if (2 * s) % (p - 1) == 0:
+            power, rest = p, 4 * s
+            while rest % p == 0:
+                power, rest = power * p, rest // p
+            out *= power
     return out
 
 
@@ -146,6 +202,41 @@ def orbit_of(state: tuple[int, ...], d: int, cap: int = 300_000) -> frozenset[tu
             if nxt not in seen:
                 if len(seen) >= cap:
                     raise RuntimeError("orbit cap exceeded")
+                seen.add(nxt)
+                queue.append(nxt)
+    return frozenset(seen)
+
+
+def listcopy_rowop_orbit(entries, moduli: Sequence[int], max_states: int = 250_000):
+    """Orbit of a matrix under unit {add, swap, negate} by breadth-first
+    search that copies the rows into lists for every operation: the
+    engine's search before it acted on state tuples directly.  None when
+    the orbit exceeds max_states."""
+    m = len(entries)
+    ops = []
+    for a in range(m):
+        ops.append(("negate", a, None))
+        for b in range(m):
+            if a != b:
+                ops.append(("add", a, b))
+                if a < b:
+                    ops.append(("swap", a, b))
+    seen = {entries}
+    queue = deque([entries])
+    while queue:
+        state = queue.popleft()
+        for kind, a, b in ops:
+            work = [list(row) for row in state]
+            if kind == "add":
+                work[a] = [(x + y) % d for x, y, d in zip(work[a], work[b], moduli)]
+            elif kind == "swap":
+                work[a], work[b] = work[b], work[a]
+            else:
+                work[a] = [(-x) % d for x, d in zip(work[a], moduli)]
+            nxt = tuple(tuple(row) for row in work)
+            if nxt not in seen:
+                if len(seen) >= max_states:
+                    return None
                 seen.add(nxt)
                 queue.append(nxt)
     return frozenset(seen)

@@ -19,6 +19,7 @@ from gaugekit.parser import parse
 
 from support import (
     bernoulli_unsigned,
+    closed_form_imj_order,
     column_orbit_partition,
     denormalize,
     least_positive_generator,
@@ -51,6 +52,17 @@ def test_criterion_1_bernoulli_imj_suite():
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report(1, "Bernoulli/Im J suite", elapsed, 1)
+
+
+def test_criterion_1_imj_order_closed_form():
+    # the J-image order without Bernoulli numbers, prod p^(1 + v_p(4s)) over
+    # primes with (p - 1) | 2s, against the engine's Bernoulli route
+    start = time.perf_counter()
+    for s in range(1, 301):
+        assert imj_order(4 * s) == closed_form_imj_order(s), s
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0
+    _report(1, "Im J closed form (s <= 300)", elapsed, 10)
 
 
 def test_criterion_2_gcd_mod_equivalence():

@@ -358,3 +358,11 @@ def test_complex_job_on_a_huge_modulus_exits_0_promptly(tmp_path):
     path = write(tmp_path, "huge.job", job)
     statement = f"import gaugekit.cli; assert gaugekit.cli.main(['decompose', {str(path)!r}]) == 0"
     assert seconds_in_fresh_interpreter(statement) < 1.0
+
+
+def test_wall_job_on_a_large_n_exits_3_promptly(tmp_path):
+    # chi_modulus(2000) needs bernoulli(500) while the job is parsed;
+    # pi_1999(E8) is not tabulated
+    path = write(tmp_path, "n2000.job", "kind: wall\nn: 2000\nm: 1\nchi: 0\ngroup: E8\n")
+    statement = f"import gaugekit.cli; assert gaugekit.cli.main(['decompose', {str(path)!r}]) == 3"
+    assert seconds_in_fresh_interpreter(statement) < 2.0

@@ -20,6 +20,7 @@ from gaugekit.modmatrix import (
 
 from support import (
     least_positive_generator,
+    listcopy_rowop_orbit,
     orbit_of,
     rank_f2_bruteforce,
     seconds_in_fresh_interpreter,
@@ -272,6 +273,31 @@ def test_rowop_orbit_engine_matches_oracle():
     engine = rowop_orbit(((4,), (6,)), (8,))
     oracle = {tuple(r[0] for r in state) for state in engine}
     assert oracle == set(orbit_of((4, 6), 8))
+
+
+def test_rowop_orbit_matches_list_copy_search_and_cap_rule():
+    # small multi-column matrices and chains; each orbit is also searched
+    # with the cap at its exact size (found) and one below it (None)
+    rng = random.Random(7)
+    chains = [(5,), (8,), (12,), (24,), (2, 4), (3, 6), (2, 2), (4, 8), (2, 4, 8)]
+    capped = exact = 0
+    for _ in range(80):
+        moduli = rng.choice(chains)
+        entries = tuple(
+            tuple(rng.randrange(d) for d in moduli) for _ in range(rng.randint(1, 3))
+        )
+        full = listcopy_rowop_orbit(entries, moduli, 3000)
+        assert rowop_orbit(entries, moduli, 3000) == full, (entries, moduli)
+        if full is None:
+            capped += 1
+            continue
+        n = len(full)
+        assert rowop_orbit(entries, moduli, n) == full
+        if n > 1:
+            exact += 1
+            assert rowop_orbit(entries, moduli, n - 1) is None
+            assert listcopy_rowop_orbit(entries, moduli, n - 1) is None
+    assert capped >= 5 and exact >= 20, (capped, exact)
 
 
 def test_rank_f2_examples():
