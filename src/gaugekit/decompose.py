@@ -13,10 +13,11 @@ from typing import Iterable
 
 from .exact import CyclicElem, is_prime, subgroup_generator
 from .manifolds import GeneralComplex, N2Manifold, SigmaFCase, SphereBundle, WallManifold
-from .modmatrix import nonzero_column_count, reduce_with_report
+from .modmatrix import nonzero_column_count, rank_f2, reduce_with_report
 from .spaces import (
     LieGroup,
     MappingSpace,
+    Product,
     SpaceExpr,
     Sphere,
     SuspCP2,
@@ -77,8 +78,6 @@ class Decomposition:
     base_space: SpaceExpr | None = None
 
     def gauge_factors(self) -> tuple[SpaceExpr, ...]:
-        from .spaces import Product
-
         if isinstance(self.gauge, Product):
             return self.gauge.parts
         return (self.gauge,)
@@ -349,8 +348,6 @@ def skeleton_split_n2(M: N2Manifold) -> SpaceExpr:
     """Homotopy type of the (n+1)-skeleton: the mod-2 rank c of the attaching
     matrix counts the suspended projective planes; the remaining m-c
     generators contribute sphere pairs."""
-    from .modmatrix import rank_f2
-
     n, m = M.n, M.m
     c = rank_f2(M.C)
     parts: list[SpaceExpr] = [SuspCP2(n - 3) for _ in range(c)]
@@ -404,8 +401,6 @@ def gauge_decompose_n2(
         )
     # bundle classification is integral even when the decomposition localizes
     tables.classify_bundles(M.dimension, M.connectivity, group)
-
-    from .modmatrix import rank_f2
 
     c = rank_f2(M.C)
 

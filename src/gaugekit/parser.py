@@ -11,10 +11,14 @@ renderer on canonical expressions).
               | "(" expr ")"
               | NAME ["(" INT ")"]
 
-Chains may not mix "x" and "v" without parentheses.  The parser builds
-bottom-up through the smart constructors, so every argument it passes is
-already canonical and so is the result: parse(render_text(e)) == e for
-every canonical expression e.
+Chains may not mix "x" and "v" without parentheses.  Factors nest at most
+MAX_DEPTH levels deep: each prefix operand, parenthesis, and "Map*(" or
+"G_...(" argument is one level.  The parser builds bottom-up through the
+smart constructors, so every argument it passes is already canonical and so
+is the result: parse(render_text(e)) == e for every canonical expression e
+whose text nests at most MAX_DEPTH levels.  Alternating loop and suspension
+prefixes render parenthesized, so their text nests up to twice as deep as
+the tree.
 """
 
 from __future__ import annotations
@@ -37,7 +41,12 @@ from .spaces import (
     wedge,
 )
 
-__all__ = ["parse", "ParseError"]
+__all__ = ["parse", "ParseError", "MAX_DEPTH"]
+
+# Deepest factor nesting `parse` accepts.  Jobs build trees a few levels
+# deep; at this bound every traversal of a parsed tree stays far below the
+# interpreter's recursion limit.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -90,6 +99,7 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str]]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # factors open around the one being parsed
 
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -121,6 +131,9 @@ class _Parser:
         return product(*parts) if op == "X" else wedge(*parts)
 
     def parse_factor(self) -> SpaceExpr:
+        if self.depth > MAX_DEPTH:
+            raise ParseError("expression nested too deeply")
+        self.depth += 1
         kind = self.peek()
         if kind in ("OMEGA", "SIGMA"):
             prefix = self.next()[1]
@@ -128,15 +141,17 @@ class _Parser:
             if power < 1:
                 raise ParseError(f"{prefix} needs a power >= 1")
             build = loop if kind == "OMEGA" else suspension
-            return build(power, self.parse_factor())
-        expr = self.parse_primary()
-        if self.peek() == "U":
-            self.next()
-            label = None
-            if self.peek() == "LABEL":
-                label = self.next()[1][1:-1]
-            top = int(self.expect("ECELL").split("^")[1])
-            return attached(expr, top, label)
+            expr = build(power, self.parse_factor())
+        else:
+            expr = self.parse_primary()
+            if self.peek() == "U":
+                self.next()
+                label = None
+                if self.peek() == "LABEL":
+                    label = self.next()[1][1:-1]
+                top = int(self.expect("ECELL").split("^")[1])
+                expr = attached(expr, top, label)
+        self.depth -= 1
         return expr
 
     def parse_primary(self) -> SpaceExpr:
@@ -199,15 +214,13 @@ class _Parser:
 
 def parse(text: str) -> SpaceExpr:
     """Parse a rendered space expression back to its canonical tree.  Every
-    rejection, including a node constructor's and nesting deeper than the
-    interpreter's recursion limit, raises ParseError."""
+    rejection, including a node constructor's and nesting deeper than
+    MAX_DEPTH, raises ParseError."""
     parser = _Parser(_tokenize(text))
     try:
         expr = parser.parse_expr()
     except ValueError as exc:  # a node constructor's rejection, or a ParseError
         raise ParseError(str(exc)) from None
-    except RecursionError:
-        raise ParseError("expression nested too deeply") from None
     if parser.pos != len(parser.tokens):
         kind, value = parser.tokens[parser.pos]
         raise ParseError(f"trailing input at token {kind} {value!r}")

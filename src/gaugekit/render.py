@@ -19,96 +19,77 @@ from .spaces import (
     Suspension,
     TwoCell,
     Wedge,
+    _not_a_space,
 )
 
 __all__ = ["render", "render_text", "render_latex"]
 
+# Kinds whose text render is not self-delimiting.
+_TEXT_OPEN = (Wedge, Product, AttachedComplex, Suspension, Loop)
 
-def _text_atom(e: SpaceExpr) -> str:
-    """Render with parentheses when the result is not self-delimiting."""
-    s = render_text(e)
-    if isinstance(e, (Wedge, Product, AttachedComplex, Suspension, Loop)):
-        return f"({s})"
-    return s
+
+def _paren_text(e: SpaceExpr, kinds=_TEXT_OPEN) -> str:
+    return f"({render_text(e)})" if type(e) in kinds else render_text(e)
+
+
+_TEXT = {
+    Sphere: lambda e: f"S^{e.n}",
+    SuspCP2: lambda e: "CP^2" if e.k == 0 else f"SCP2^{e.k}",
+    TwoCell: lambda e: f"TC({e.bottom},{e.top};{e.attach.value} mod {e.attach.modulus})",
+    AttachedComplex: lambda e: (
+        f"{_paren_text(e.skeleton)} {f'u[{e.label}]' if e.label else 'u'} e^{e.top}"
+    ),
+    LieGroup: lambda e: e.name,
+    MappingSpace: lambda e: f"Map*({render_text(e.domain)}, {render_text(e.codomain)})",
+    Gauge: lambda e: f"G_{e.label}({render_text(e.base)}{f'; {e.group}' if e.group else ''})",
+    Loop: lambda e: f"Omega^{e.power} {_paren_text(e.space)}",
+    Suspension: lambda e: f"Sigma^{e.power} {_paren_text(e.space)}",
+    Wedge: lambda e: " v ".join(_paren_text(p, (Product,)) for p in e.parts),
+    Product: lambda e: " x ".join(_paren_text(p, (Wedge,)) for p in e.parts),
+}
 
 
 def render_text(e: SpaceExpr) -> str:
-    if isinstance(e, Sphere):
-        return f"S^{e.n}"
-    if isinstance(e, SuspCP2):
-        return "CP^2" if e.k == 0 else f"SCP2^{e.k}"
-    if isinstance(e, TwoCell):
-        return f"TC({e.bottom},{e.top};{e.attach.value} mod {e.attach.modulus})"
-    if isinstance(e, AttachedComplex):
-        skel = render_text(e.skeleton)
-        if isinstance(e.skeleton, (Wedge, Product, Suspension, Loop, AttachedComplex)):
-            skel = f"({skel})"
-        tag = f"u[{e.label}]" if e.label else "u"
-        return f"{skel} {tag} e^{e.top}"
-    if isinstance(e, LieGroup):
-        return e.name
-    if isinstance(e, MappingSpace):
-        return f"Map*({render_text(e.domain)}, {render_text(e.codomain)})"
-    if isinstance(e, Gauge):
-        inner = render_text(e.base)
-        if e.group:
-            return f"G_{e.label}({inner}; {e.group})"
-        return f"G_{e.label}({inner})"
-    if isinstance(e, Loop):
-        return f"Omega^{e.power} {_text_atom(e.space)}"
-    if isinstance(e, Suspension):
-        return f"Sigma^{e.power} {_text_atom(e.space)}"
-    if isinstance(e, Wedge):
-        return " v ".join(_text_atom(p) if isinstance(p, Product) else render_text(p) for p in e.parts)
-    if isinstance(e, Product):
-        return " x ".join(_text_atom(p) if isinstance(p, Wedge) else render_text(p) for p in e.parts)
-    raise TypeError(f"not a space expression: {e!r}")
+    return _TEXT.get(type(e), _not_a_space)(e)
 
 
+def _paren_latex(e: SpaceExpr, kinds) -> str:
+    return f"({render_latex(e)})" if type(e) in kinds else render_latex(e)
+
+
+_CP2_LATEX = r"\mathbb{C}P^{2}"
 _LIE_LATEX = {"E6": "E_6", "E7": "E_7", "E8": "E_8"}
+_LABEL_LATEX = {"alpha": r"\alpha"}
+_LOOP_OPEN_LATEX = (Wedge, Product, AttachedComplex, Suspension, TwoCell)
+_SIGMA_OPEN_LATEX = (Wedge, Product, AttachedComplex, TwoCell)
+
+_LATEX = {
+    Sphere: lambda e: f"S^{{{e.n}}}",
+    SuspCP2: lambda e: _CP2_LATEX if e.k == 0 else rf"\Sigma^{{{e.k}}}{_CP2_LATEX}",
+    TwoCell: lambda e: rf"S^{{{e.bottom}}} \cup_{{{e.attach.value}}} e^{{{e.top}}}",
+    AttachedComplex: lambda e: (
+        rf"{_paren_latex(e.skeleton, (Wedge, Product))} "
+        rf"\cup{f'_{{{e.label}}}' if e.label else ''} e^{{{e.top}}}"
+    ),
+    LieGroup: lambda e: _LIE_LATEX.get(e.name, e.name),
+    MappingSpace: lambda e: (
+        rf"{{\rm Map}}^{{\ast}}({render_latex(e.domain)}, {render_latex(e.codomain)})"
+    ),
+    Gauge: lambda e: (
+        rf"\mathcal{{G}}_{{{_LABEL_LATEX.get(e.label, e.label)}}}({render_latex(e.base)})"
+    ),
+    Loop: lambda e: rf"\Omega^{{{e.power}}} {_paren_latex(e.space, _LOOP_OPEN_LATEX)}",
+    Suspension: lambda e: (
+        rf"\Sigma{f'^{{{e.power}}}' if e.power > 1 else ''} "
+        rf"{_paren_latex(e.space, _SIGMA_OPEN_LATEX)}"
+    ),
+    Wedge: lambda e: r" \vee ".join(_paren_latex(p, (Product,)) for p in e.parts),
+    Product: lambda e: r" \times ".join(_paren_latex(p, (Wedge,)) for p in e.parts),
+}
 
 
 def render_latex(e: SpaceExpr) -> str:
-    if isinstance(e, Sphere):
-        return f"S^{{{e.n}}}"
-    if isinstance(e, SuspCP2):
-        cp = r"\mathbb{C}P^{2}"
-        return cp if e.k == 0 else rf"\Sigma^{{{e.k}}}{cp}"
-    if isinstance(e, TwoCell):
-        return rf"S^{{{e.bottom}}} \cup_{{{e.attach.value}}} e^{{{e.top}}}"
-    if isinstance(e, AttachedComplex):
-        skel = render_latex(e.skeleton)
-        if isinstance(e.skeleton, (Wedge, Product)):
-            skel = f"({skel})"
-        cup = rf"\cup_{{{e.label}}}" if e.label else r"\cup"
-        return rf"{skel} {cup} e^{{{e.top}}}"
-    if isinstance(e, LieGroup):
-        return _LIE_LATEX.get(e.name, e.name)
-    if isinstance(e, MappingSpace):
-        return rf"{{\rm Map}}^{{\ast}}({render_latex(e.domain)}, {render_latex(e.codomain)})"
-    if isinstance(e, Gauge):
-        label = r"\alpha" if e.label == "alpha" else e.label
-        return rf"\mathcal{{G}}_{{{label}}}({render_latex(e.base)})"
-    if isinstance(e, Loop):
-        inner = render_latex(e.space)
-        if isinstance(e.space, (Wedge, Product, AttachedComplex, Suspension, TwoCell)):
-            inner = f"({inner})"
-        return rf"\Omega^{{{e.power}}} {inner}"
-    if isinstance(e, Suspension):
-        inner = render_latex(e.space)
-        if isinstance(e.space, (Wedge, Product, AttachedComplex, TwoCell)):
-            inner = f"({inner})"
-        sig = r"\Sigma" if e.power == 1 else rf"\Sigma^{{{e.power}}}"
-        return f"{sig} {inner}"
-    if isinstance(e, Wedge):
-        return r" \vee ".join(
-            f"({render_latex(p)})" if isinstance(p, Product) else render_latex(p) for p in e.parts
-        )
-    if isinstance(e, Product):
-        return r" \times ".join(
-            f"({render_latex(p)})" if isinstance(p, Wedge) else render_latex(p) for p in e.parts
-        )
-    raise TypeError(f"not a space expression: {e!r}")
+    return _LATEX.get(type(e), _not_a_space)(e)
 
 
 def render(e: SpaceExpr, fmt: str = "text") -> str:

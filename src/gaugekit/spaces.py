@@ -153,42 +153,29 @@ class Suspension(SpaceExpr):
 
 # --- canonical order --------------------------------------------------------
 
-_RANK = {
-    Gauge: 0,
-    AttachedComplex: 1,
-    TwoCell: 2,
-    Suspension: 3,
-    SuspCP2: 4,
-    Sphere: 5,
-    LieGroup: 6,
-    MappingSpace: 7,
-    Loop: 8,
-    Wedge: 9,
-    Product: 10,
+def _not_a_space(e, *args):
+    """The miss path of every per-kind dispatch table."""
+    raise TypeError(f"not a space expression: {e!r}")
+
+
+# One entry per node class; the rank that leads each key orders the kinds.
+_KEY = {
+    Gauge: lambda e: (0, sort_key(e.base), e.label, e.group or ""),
+    AttachedComplex: lambda e: (1, e.top, sort_key(e.skeleton), e.label or ""),
+    TwoCell: lambda e: (2, e.bottom, e.attach.modulus, e.attach.value),
+    Suspension: lambda e: (3, sort_key(e.space), e.power),
+    SuspCP2: lambda e: (4, e.k),
+    Sphere: lambda e: (5, e.n),
+    LieGroup: lambda e: (6, e.name),
+    MappingSpace: lambda e: (7, sort_key(e.domain), sort_key(e.codomain)),
+    Loop: lambda e: (8, e.power, sort_key(e.space)),
+    Wedge: lambda e: (9, tuple(sort_key(p) for p in e.parts)),
+    Product: lambda e: (10, tuple(sort_key(p) for p in e.parts)),
 }
 
 
 def sort_key(e: SpaceExpr):
-    rank = _RANK[type(e)]
-    if isinstance(e, Sphere):
-        return (rank, e.n)
-    if isinstance(e, SuspCP2):
-        return (rank, e.k)
-    if isinstance(e, TwoCell):
-        return (rank, e.bottom, e.attach.modulus, e.attach.value)
-    if isinstance(e, AttachedComplex):
-        return (rank, e.top, sort_key(e.skeleton), e.label or "")
-    if isinstance(e, LieGroup):
-        return (rank, e.name)
-    if isinstance(e, MappingSpace):
-        return (rank, sort_key(e.domain), sort_key(e.codomain))
-    if isinstance(e, Gauge):
-        return (rank, sort_key(e.base), e.label, e.group or "")
-    if isinstance(e, Loop):
-        return (rank, e.power, sort_key(e.space))
-    if isinstance(e, Suspension):
-        return (rank, sort_key(e.space), e.power)
-    return (rank, tuple(sort_key(p) for p in e.parts))
+    return _KEY.get(type(e), _not_a_space)(e)
 
 
 # --- smart constructors (canonical arguments, one rewriting step) -----------
@@ -261,33 +248,36 @@ def suspension(power: int, space: SpaceExpr) -> SpaceExpr:
 
 # --- canonical form -----------------------------------------------------------
 
-def _rebuild(e: SpaceExpr, primes: frozenset[int]) -> SpaceExpr:
-    """Bottom-up rebuild of an arbitrary tree through the smart constructors;
-    a two-cell complex whose attaching class has order with all its prime
+def _split_away(e: SpaceExpr, primes: frozenset[int]) -> SpaceExpr:
+    """A two-cell complex whose attaching class has order with all its prime
     factors in `primes` splits into its cells."""
-    if isinstance(e, (Sphere, SuspCP2, LieGroup)):
-        return e
-    if isinstance(e, TwoCell):
-        x = two_cell(e.bottom, e.attach)
-        if primes and isinstance(x, TwoCell):
-            if prime_to_part(element_order(x.attach.value, x.attach.modulus), primes) == 1:
-                return wedge(Sphere(x.bottom), Sphere(x.top))
-        return x
-    if isinstance(e, AttachedComplex):
-        return attached(_rebuild(e.skeleton, primes), e.top, e.label)
-    if isinstance(e, MappingSpace):
-        return MappingSpace(_rebuild(e.domain, primes), _rebuild(e.codomain, primes))
-    if isinstance(e, Gauge):
-        return gauge(_rebuild(e.base, primes), e.label, e.group)
-    if isinstance(e, Wedge):
-        return wedge(*(_rebuild(p, primes) for p in e.parts))
-    if isinstance(e, Product):
-        return product(*(_rebuild(p, primes) for p in e.parts))
-    if isinstance(e, Loop):
-        return loop(e.power, _rebuild(e.space, primes))
-    if isinstance(e, Suspension):
-        return suspension(e.power, _rebuild(e.space, primes))
-    raise TypeError(f"not a space expression: {e!r}")
+    if primes and isinstance(e, TwoCell):
+        if prime_to_part(element_order(e.attach.value, e.attach.modulus), primes) == 1:
+            return wedge(Sphere(e.bottom), Sphere(e.top))
+    return e
+
+
+_REBUILD = {
+    Sphere: lambda e, primes: e,
+    SuspCP2: lambda e, primes: e,
+    LieGroup: lambda e, primes: e,
+    TwoCell: lambda e, primes: _split_away(two_cell(e.bottom, e.attach), primes),
+    AttachedComplex: lambda e, primes: attached(_rebuild(e.skeleton, primes), e.top, e.label),
+    MappingSpace: lambda e, primes: MappingSpace(
+        _rebuild(e.domain, primes), _rebuild(e.codomain, primes)
+    ),
+    Gauge: lambda e, primes: gauge(_rebuild(e.base, primes), e.label, e.group),
+    Wedge: lambda e, primes: wedge(*(_rebuild(p, primes) for p in e.parts)),
+    Product: lambda e, primes: product(*(_rebuild(p, primes) for p in e.parts)),
+    Loop: lambda e, primes: loop(e.power, _rebuild(e.space, primes)),
+    Suspension: lambda e, primes: suspension(e.power, _rebuild(e.space, primes)),
+}
+
+
+def _rebuild(e: SpaceExpr, primes: frozenset[int]) -> SpaceExpr:
+    """Bottom-up rebuild of an arbitrary tree through the smart constructors,
+    splitting the two-cell complexes that die away from `primes`."""
+    return _REBUILD.get(type(e), _not_a_space)(e, primes)
 
 
 def normalize(e: SpaceExpr) -> SpaceExpr:

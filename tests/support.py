@@ -461,6 +461,29 @@ def denormalize(rng: random.Random, expr):
     return vary(expr)
 
 
+_FIXTURE_PRIMES = ((2,), (3,), (2, 3), (2, 3, 5))
+
+
+def expression_fixture_lines(seed: int, count: int) -> list[str]:
+    """The lines of tests/golden/expressions.txt: for each of `count` seeded
+    denormalized trees, the text and LaTeX renders of its normal form and
+    the text render of its localization away from a seeded set of primes."""
+    from gaugekit.render import render_latex, render_text
+    from gaugekit.spaces import localize, normalize
+
+    rng = random.Random(seed)
+    lines = []
+    for i in range(count):
+        raw = denormalize(rng, random_expr(rng, depth=rng.randint(4, 6)))
+        primes = rng.choice(_FIXTURE_PRIMES)
+        e = normalize(raw)
+        lines.append(f"{i} text {render_text(e)}")
+        lines.append(f"{i} latex {render_latex(e)}")
+        away = ",".join(map(str, primes))
+        lines.append(f"{i} away {away} {render_text(localize(raw, primes))}")
+    return lines
+
+
 # --- table records: the per-query evaluator ----------------------------------
 # The loader compiles each record once; this is the algorithm it replaced,
 # which re-parses the degree spec and validity on every query and walks the

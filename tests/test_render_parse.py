@@ -1,14 +1,16 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from gaugekit.exact import CyclicElem
-from gaugekit.parser import ParseError, parse
+from gaugekit.parser import MAX_DEPTH, ParseError, parse
 from gaugekit.render import render, render_latex, render_text
 from gaugekit.spaces import (
     AttachedComplex,
     Gauge,
     LieGroup,
+    Loop,
     MappingSpace,
     Sphere,
     SuspCP2,
@@ -19,12 +21,13 @@ from gaugekit.spaces import (
     loop,
     normalize,
     product,
+    sort_key,
     suspension,
     two_cell,
     wedge,
 )
 
-from support import random_expr
+from support import expression_fixture_lines, random_expr
 
 
 def test_render_contract_examples():
@@ -54,6 +57,12 @@ def test_more_latex_forms():
     )
     assert render_latex(LieGroup("E7")) == "E_7"
     assert render_latex(LieGroup("Sp(3)")) == "Sp(3)"
+
+
+def test_renders_of_seeded_trees_match_golden():
+    golden = Path(__file__).parent / "golden" / "expressions.txt"
+    expected = golden.read_text(encoding="utf-8").splitlines()
+    assert expression_fixture_lines(8, 60) == expected
 
 
 def test_text_round_trip_on_fixed_corpus():
@@ -131,3 +140,50 @@ def test_empty_attaching_label_round_trips_as_unlabelled():
     assert normalize(Wedge((e, labelled))) == normalize(Wedge((labelled, e)))
     assert parse("S^5 u[] e^12 v S^5 u e^12") == parse("S^5 u e^12 v S^5 u[] e^12")
     assert normalize(Gauge(Sphere(10), "k", "")) == gauge(Sphere(10), "k")
+
+
+# One level of each form of nesting, wrapped around `inner` at step i.
+_NESTINGS = {
+    "prefixes": lambda inner, i: f"{'Omega' if i % 2 else 'Sigma'}^1 {inner}",
+    "parentheses": lambda inner, i: f"S^{i + 1} {'xv'[i % 2]} ({inner})",
+    "mapping spaces": lambda inner, i: f"Map*({inner}, E8)",
+    "gauge atoms": lambda inner, i: f"G_k({inner}; E7)",
+    "attached skeletons": lambda inner, i: f"({inner}) u[f] e^{i + 20}",
+}
+
+
+def _nested_text(form: str, depth: int) -> str:
+    text = "E8"
+    for i in range(depth):
+        text = _NESTINGS[form](text, i)
+    return text
+
+
+@pytest.mark.parametrize("form", list(_NESTINGS))
+def test_traversals_handle_every_tree_parse_accepts(form):
+    e = parse(_nested_text(form, MAX_DEPTH))
+    assert sort_key(e) == sort_key(parse(_nested_text(form, MAX_DEPTH)))
+    assert normalize(e) == e
+    assert localize(e, {2, 3}) == e
+    assert render_text(e) and render_latex(e)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse(_nested_text(form, MAX_DEPTH + 1))
+    # text nests at most twice as deep as its tree (alternating prefixes)
+    half = parse(_nested_text(form, MAX_DEPTH // 2))
+    assert parse(render_text(half)) == half
+
+
+def test_every_entry_point_rejects_a_node_that_is_not_a_space():
+    entry_points = [
+        sort_key,
+        normalize,
+        lambda e: localize(e, {2}),
+        render_text,
+        render_latex,
+        lambda e: wedge(Sphere(2), e),
+        lambda e: product(Sphere(2), e),
+    ]
+    for bad in (42, Loop(1, Wedge((Sphere(2), 42)))):
+        for call in entry_points:
+            with pytest.raises(TypeError, match="not a space expression: 42"):
+                call(bad)
