@@ -31,8 +31,6 @@ EXIT_HYPOTHESIS = 2
 EXIT_NOT_TABULATED = 3
 EXIT_SCHEMA = 4
 
-_ORBIT_STATE_CAP = 50_000
-
 
 def _describe(job) -> str:
     spec = job.spec
@@ -59,7 +57,7 @@ def _trace_lines(job) -> Iterator[str]:
     yield f"trace: diagonal {list(report.pivots)}"
     for note in report.notes:
         yield f"trace: note: {note}"
-    orbit = rowop_orbit(job.spec.B.entries, job.spec.B.moduli, _ORBIT_STATE_CAP)
+    orbit = rowop_orbit(job.spec.B.entries, job.spec.B.moduli)
     if orbit is None:
         yield "trace: oracle: orbit search skipped (state space too large)"
     elif reduced.entries in orbit:

@@ -138,35 +138,46 @@ def index_e(M: WallManifold) -> CyclicElem:
     return CyclicElem(subgroup_generator((c.value for c in M.chi), d), d)
 
 
-def _wall_case(n: int) -> str:
-    r = n % 8
-    if r in (3, 5, 6, 7):
-        return "trivial"
-    if r in (1, 2):
-        return "mod2"
-    return "bernoulli"
+_ADAMS_QUILLEN = "stable J-image orders after Adams (1966) and Quillen (1971)"
+
+
+def _wall_base(
+    M: WallManifold, away: frozenset[int], group: str | None
+) -> tuple[SpaceExpr, str | None]:
+    """The base of the splitting, S^2n or TC(n, e), and the reason the top
+    cell splits off (None when the two-cell complex stays).  The J-image
+    case is read off the modulus: 1 exactly for n = 3,5,6,7 mod 8, and 2
+    exactly for n = 1,2 mod 8."""
+    n, e = M.n, index_e(M)
+    if e.modulus == 1:
+        reason = f"trivial J-image case (n = {n} is 3,5,6,7 mod 8; {_ADAMS_QUILLEN})"
+    elif e.is_zero():
+        reason = "null attaching residue: the top cell splits off"
+    elif e.modulus == 2 and 2 in away:
+        reason = "mod-2 case localized away from 2: the two-cell complex splits"
+    elif M.almost_parallelizable and n == 8 and group == "E8" and {3, 5} <= away:
+        reason = (
+            "almost-parallelizable 16-manifold localized away from {3,5}: "
+            "the degree-8 Steenrod square vanishes, so the 2-primary "
+            "attaching residue dies (Wu formula)"
+        )
+    else:
+        return two_cell(n, e), None
+    return Sphere(2 * n), reason
 
 
 def suspension_split_wall(M: WallManifold) -> SpaceExpr:
     """Suspension splitting of an (n-1)-connected 2n-manifold (n >= 3): a
     wedge of spheres, with one suspended two-cell complex when the image of
     chi is nontrivial."""
-    n, m = M.n, M.m
-    if n < 3:
+    if M.n < 3:
         raise UnsupportedManifoldError(
             "suspension splittings of rank-m 4-manifolds are prior work on "
             "simply connected 4-manifolds; this engine starts at n = 3"
         )
-    e = index_e(M)
-    if _wall_case(n) == "trivial" or e.is_zero():
-        return wedge(Sphere(2 * n + 1), *(Sphere(n + 1) for _ in range(m)))
-    return wedge(
-        suspension(1, two_cell(n, e)),
-        *(Sphere(n + 1) for _ in range(m - 1)),
-    )
-
-
-_ADAMS_QUILLEN = "stable J-image orders after Adams (1966) and Quillen (1971)"
+    base, _ = _wall_base(M, frozenset(), None)
+    spheres = M.m if isinstance(base, Sphere) else M.m - 1
+    return wedge(suspension(1, base), *(Sphere(M.n + 1) for _ in range(spheres)))
 
 
 def gauge_decompose_wall(
@@ -198,45 +209,16 @@ def gauge_decompose_wall(
     # surfaces as an error rather than a guessed class label
     classes = tables.pi(group, M.dimension - 1).group
     label = "k" if classes == Z else "alpha"
-    e = index_e(M)
-    case = _wall_case(n)
-
-    full_reason = None
-    if case == "trivial":
-        full_reason = f"trivial J-image case (n = {n} is 3,5,6,7 mod 8; {_ADAMS_QUILLEN})"
-    elif e.is_zero():
-        full_reason = "null attaching residue: the top cell splits off"
-    elif case == "mod2" and 2 in away:
-        full_reason = "mod-2 case localized away from 2: the two-cell complex splits"
-    elif (
-        M.almost_parallelizable
-        and n == 8
-        and group == "E8"
-        and {3, 5} <= away
-    ):
-        full_reason = (
-            "almost-parallelizable 16-manifold localized away from {3,5}: "
-            "the degree-8 Steenrod square vanishes, so the 2-primary "
-            "attaching residue dies (Wu formula)"
+    base, reason = _wall_base(M, away, group)
+    if reason is None and base.attach.modulus == 2:
+        reason = f"mod-2 case (n = {n} is 1,2 mod 8; {_ADAMS_QUILLEN})"
+    elif reason is None:
+        reason = (
+            "n = 4s case, attaching residue modulo the denominator of B_s/4s "
+            f"({_ADAMS_QUILLEN})"
         )
-
-    if full_reason is not None:
-        base: SpaceExpr = Sphere(2 * n)
-        spheres = m
-        theorem = f"gauge splitting over (n-1)-connected 2n-manifolds: {full_reason}"
-    else:
-        base = two_cell(n, e)
-        spheres = m - 1
-        if case == "mod2":
-            theorem = (
-                "gauge splitting over (n-1)-connected 2n-manifolds: mod-2 case "
-                f"(n = {n} is 1,2 mod 8; {_ADAMS_QUILLEN})"
-            )
-        else:
-            theorem = (
-                "gauge splitting over (n-1)-connected 2n-manifolds: n = 4s case, "
-                f"attaching residue modulo the denominator of B_s/4s ({_ADAMS_QUILLEN})"
-            )
+    theorem = f"gauge splitting over (n-1)-connected 2n-manifolds: {reason}"
+    spheres = m if isinstance(base, Sphere) else m - 1
     return _split(base, [Sphere(n)] * spheres, label, group, theorem, away)
 
 

@@ -14,7 +14,8 @@ Common keys: ``kind`` (wall | sphere_bundle | n2 | complex), ``group``,
                  matrix block ``B:`` followed by m rows of r entries
 
 Schema problems raise SchemaError; the values are validated literally
-(for example a chi entry >= its modulus is rejected, not reduced).
+(for example a chi entry >= its modulus is rejected, not reduced).  Each
+builder pops the keys and blocks it reads; any left over is a SchemaError.
 """
 
 from __future__ import annotations
@@ -47,10 +48,8 @@ class Job:
     group: str
     localize_away: frozenset[int]
     fmt: str
-    source: str = ""
 
 
-_KINDS = ("wall", "sphere_bundle", "n2", "complex")
 _BOOLS = {"yes": True, "true": True, "no": False, "false": False}
 
 
@@ -88,7 +87,7 @@ def _split_fields(text: str) -> tuple[dict[str, str], dict[str, list[str]]]:
 def _get(scalars: dict[str, str], key: str) -> str:
     if key not in scalars:
         raise SchemaError(f"missing required key {key!r}")
-    return scalars[key]
+    return scalars.pop(key)
 
 
 def _get_int(scalars: dict[str, str], key: str) -> int:
@@ -99,19 +98,17 @@ def _get_int(scalars: dict[str, str], key: str) -> int:
         raise SchemaError(f"{key!r} must be an integer, got {value!r}") from None
 
 
-def _get_bool(scalars: dict[str, str], key: str, default: bool = False) -> bool:
-    if key not in scalars:
-        return default
-    value = scalars[key].lower()
-    if value not in _BOOLS:
-        raise SchemaError(f"{key!r} must be yes/no, got {scalars[key]!r}")
-    return _BOOLS[value]
+def _get_bool(scalars: dict[str, str], key: str) -> bool:
+    value = scalars.pop(key, "no")
+    flag = _BOOLS.get(value.lower())
+    if flag is None:
+        raise SchemaError(f"{key!r} must be yes/no, got {value!r}")
+    return flag
 
 
 def parse_primes(field: str) -> frozenset[int]:
-    parts = field.replace(",", " ").split()
     primes = set()
-    for p in parts:
+    for p in field.replace(",", " ").split():
         try:
             v = int(p)
         except ValueError:
@@ -126,41 +123,39 @@ def parse_primes(field: str) -> frozenset[int]:
     return frozenset(primes)
 
 
-def _int_rows(rows: list[str], what: str) -> list[list[int]]:
+def _matrix(blocks: dict[str, list[str]], key: str, kind: str) -> list[list[int]]:
+    if key not in blocks:
+        raise SchemaError(f"{kind} jobs need a matrix block '{key}:'")
     out = []
-    for row in rows:
+    for row in blocks.pop(key):
         try:
             out.append([int(x) for x in row.split()])
         except ValueError:
-            raise SchemaError(f"{what}: non-integer matrix entry in row {row!r}") from None
+            raise SchemaError(f"{key}: non-integer matrix entry in row {row!r}") from None
     return out
 
 
-def parse_job_text(text: str, source: str = "<string>") -> Job:
+def parse_job_text(text: str) -> Job:
     scalars, blocks = _split_fields(text)
     kind = _get(scalars, "kind")
-    if kind not in _KINDS:
-        raise SchemaError(f"kind must be one of {_KINDS}, got {kind!r}")
+    if kind not in _BUILD:
+        raise SchemaError(f"kind must be one of {tuple(_BUILD)}, got {kind!r}")
     group = _get(scalars, "group")
-    away = parse_primes(scalars.get("localize_away", ""))
-    fmt = scalars.get("format", "text")
+    away = parse_primes(scalars.pop("localize_away", ""))
+    fmt = scalars.pop("format", "text")
     if fmt not in ("text", "latex"):
         raise SchemaError(f"format must be text or latex, got {fmt!r}")
 
     try:
-        if kind == "wall":
-            spec = _build_wall(scalars)
-        elif kind == "sphere_bundle":
-            spec = _build_bundle(scalars)
-        elif kind == "n2":
-            spec = _build_n2(scalars, blocks)
-        else:
-            spec = _build_complex(scalars, blocks)
+        spec = _BUILD[kind](scalars, blocks)
     except ValueError as exc:
         if isinstance(exc, SchemaError):
             raise
         raise SchemaError(str(exc)) from exc
-    return Job(kind, spec, group, away, fmt, source)
+    unread = [*map(repr, scalars), *(f"matrix block {key!r}" for key in blocks)]
+    if unread:
+        raise SchemaError(f"{kind} jobs do not read {', '.join(unread)}")
+    return Job(kind, spec, group, away, fmt)
 
 
 def parse_job_file(path: Path | str) -> Job:
@@ -169,10 +164,10 @@ def parse_job_file(path: Path | str) -> Job:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return parse_job_text(text, str(path))
+    return parse_job_text(text)
 
 
-def _build_wall(scalars: dict[str, str]) -> WallManifold:
+def _build_wall(scalars: dict[str, str], blocks: dict[str, list[str]]) -> WallManifold:
     n = _get_int(scalars, "n")
     m = _get_int(scalars, "m")
     if m < 1:
@@ -200,29 +195,27 @@ def _build_wall(scalars: dict[str, str]) -> WallManifold:
     )
 
 
-def _build_bundle(scalars: dict[str, str]) -> SphereBundle:
+def _build_bundle(scalars: dict[str, str], blocks: dict[str, list[str]]) -> SphereBundle:
     return SphereBundle(
         q=_get_int(scalars, "q"),
         n=_get_int(scalars, "n"),
         has_section=_get_bool(scalars, "has_section"),
         j_xi_trivial=_get_bool(scalars, "j_xi_trivial"),
-        clutching_note=scalars.get("clutching_note", ""),
+        clutching_note=scalars.pop("clutching_note", ""),
     )
 
 
 def _build_n2(scalars: dict[str, str], blocks: dict[str, list[str]]) -> N2Manifold:
     n = _get_int(scalars, "n")
     m = _get_int(scalars, "m")
-    if "C" not in blocks:
-        raise SchemaError("n2 jobs need a matrix block 'C:'")
-    rows = _int_rows(blocks["C"], "C")
+    rows = _matrix(blocks, "C", "n2")
     if len(rows) != m or any(len(r) != m for r in rows):
         raise SchemaError(f"C must be an {m}x{m} bit matrix")
     for row in rows:
         for b in row:
             if b not in (0, 1):
                 raise SchemaError(f"C entries must be bits, got {b}")
-    case_field = scalars.get("sigma_f_case", "general")
+    case_field = scalars.pop("sigma_f_case", "general")
     try:
         case = SigmaFCase(case_field)
     except ValueError:
@@ -244,9 +237,7 @@ def _build_complex(scalars: dict[str, str], blocks: dict[str, list[str]]) -> Gen
     for lo, hi in zip(moduli, moduli[1:]):
         if hi % lo != 0:
             raise SchemaError(f"moduli must form a divisibility chain, got {moduli}")
-    if "B" not in blocks:
-        raise SchemaError("complex jobs need a matrix block 'B:'")
-    rows = _int_rows(blocks["B"], "B")
+    rows = _matrix(blocks, "B", "complex")
     if len(rows) != m or any(len(r) != len(moduli) for r in rows):
         raise SchemaError(f"B must be {m}x{len(moduli)} (one column per modulus)")
     for row in rows:
@@ -257,3 +248,11 @@ def _build_complex(scalars: dict[str, str], blocks: dict[str, list[str]]) -> Gen
                     "(values must be given as reduced residues)"
                 )
     return GeneralComplex(n, AttachingMatrix.from_rows(rows, moduli))
+
+
+_BUILD = {
+    "wall": _build_wall,
+    "sphere_bundle": _build_bundle,
+    "n2": _build_n2,
+    "complex": _build_complex,
+}

@@ -13,7 +13,7 @@ permitted as well).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -327,7 +327,7 @@ def nonzero_column_count(B: AttachingMatrix) -> int:
 def rowop_orbit(
     entries: tuple[tuple[int, ...], ...],
     moduli: Sequence[int],
-    max_states: int = 250_000,
+    max_states: int = 50_000,
 ) -> frozenset[tuple[tuple[int, ...], ...]] | None:
     """Full orbit of a matrix under {add, swap, negate}, by breadth-first
     search.  Returns None if the orbit exceeds max_states.

@@ -16,9 +16,9 @@ MAX_DEPTH levels deep: each prefix operand, parenthesis, and "Map*(" or
 "G_...(" argument is one level.  The parser builds bottom-up through the
 smart constructors, so every argument it passes is already canonical and so
 is the result: parse(render_text(e)) == e for every canonical expression e
-whose text nests at most MAX_DEPTH levels.  Alternating loop and suspension
-prefixes render parenthesized, so their text nests up to twice as deep as
-the tree.
+whose text nests at most MAX_DEPTH levels.  An attached complex under a
+prefix renders parenthesized, so its text nests one level deeper than its
+tree.
 """
 
 from __future__ import annotations

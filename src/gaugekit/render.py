@@ -24,11 +24,15 @@ from .spaces import (
 
 __all__ = ["render", "render_text", "render_latex"]
 
-# Kinds whose text render is not self-delimiting.
-_TEXT_OPEN = (Wedge, Product, AttachedComplex, Suspension, Loop)
+# Operand kinds that render in parentheses.  A prefix takes a factor, so
+# under a loop or suspension these are the chains and, for readability,
+# attached complexes.  A prefix skeleton needs them too: "u" would otherwise
+# attach the cell to the prefix's operand.
+_PREFIX_OPEN_TEXT = (Wedge, Product, AttachedComplex)
+_SKELETON_OPEN_TEXT = (Wedge, Product, AttachedComplex, Suspension, Loop)
 
 
-def _paren_text(e: SpaceExpr, kinds=_TEXT_OPEN) -> str:
+def _paren_text(e: SpaceExpr, kinds) -> str:
     return f"({render_text(e)})" if type(e) in kinds else render_text(e)
 
 
@@ -37,13 +41,14 @@ _TEXT = {
     SuspCP2: lambda e: "CP^2" if e.k == 0 else f"SCP2^{e.k}",
     TwoCell: lambda e: f"TC({e.bottom},{e.top};{e.attach.value} mod {e.attach.modulus})",
     AttachedComplex: lambda e: (
-        f"{_paren_text(e.skeleton)} {f'u[{e.label}]' if e.label else 'u'} e^{e.top}"
+        f"{_paren_text(e.skeleton, _SKELETON_OPEN_TEXT)} "
+        f"{f'u[{e.label}]' if e.label else 'u'} e^{e.top}"
     ),
     LieGroup: lambda e: e.name,
     MappingSpace: lambda e: f"Map*({render_text(e.domain)}, {render_text(e.codomain)})",
     Gauge: lambda e: f"G_{e.label}({render_text(e.base)}{f'; {e.group}' if e.group else ''})",
-    Loop: lambda e: f"Omega^{e.power} {_paren_text(e.space)}",
-    Suspension: lambda e: f"Sigma^{e.power} {_paren_text(e.space)}",
+    Loop: lambda e: f"Omega^{e.power} {_paren_text(e.space, _PREFIX_OPEN_TEXT)}",
+    Suspension: lambda e: f"Sigma^{e.power} {_paren_text(e.space, _PREFIX_OPEN_TEXT)}",
     Wedge: lambda e: " v ".join(_paren_text(p, (Product,)) for p in e.parts),
     Product: lambda e: " x ".join(_paren_text(p, (Wedge,)) for p in e.parts),
 }

@@ -267,6 +267,28 @@ def test_jobs_directory_batch(tmp_path, capsys):
     assert "pi_11(E6)" in err
 
 
+def test_key_the_kind_does_not_read_exits_4(tmp_path, capsys):
+    strays = {
+        "a.job": (WALL_E6 + "localise_away: 2\n", "wall", "localise_away"),
+        "b.job": (BUNDLE_JOB + "B:\n1 0\n", "sphere_bundle", "B"),
+        "c.job": (COMPLEX_JOB + "sigma_f_case: null\n", "complex", "sigma_f_case"),
+    }
+    for name, (text, kind, key) in strays.items():
+        code, out, err = run(capsys, "decompose", write(tmp_path, name, text))
+        assert (code, out) == (4, "")
+        assert f"{kind} jobs" in err and repr(key) in err
+
+    jobs = tmp_path / "jobs"
+    jobs.mkdir()
+    for name, (text, _, _) in strays.items():
+        (jobs / name).write_text(text, encoding="utf-8")
+    (jobs / "d.job").write_text(WALL_E6, encoding="utf-8")
+    code, out, err = run(capsys, "decompose", "--jobs", str(jobs))
+    assert code == 4  # worst exit among the batch
+    assert "== d.job" in out and "G_k(S^10)" in out
+    assert err.count("error:") == 3
+
+
 def test_non_utf8_job_file_exits_4(tmp_path, capsys):
     bad = tmp_path / "bad.job"
     bad.write_bytes(b"kind: wall\nn: 5\ngroup: E\xff6\n")

@@ -199,6 +199,41 @@ def test_wall_factor_bookkeeping_small():
                 assert isinstance(lead, Gauge)
                 bottom = 1 if isinstance(lead.base, TwoCell) else 0
                 assert len(loops) + bottom == m
+                assert dec.suspension == suspension_split_wall(M)
+
+
+_WALL = "gauge splitting over (n-1)-connected 2n-manifolds: "
+_AQ = "stable J-image orders after Adams (1966) and Quillen (1971)"
+
+
+@pytest.mark.parametrize(
+    "n, chi, ap, group, away, splits, theorem",
+    [
+        (5, [0, 0], False, "Gv", (), True, f"trivial J-image case (n = 5 is 3,5,6,7 mod 8; {_AQ})"),
+        (8, [0, 0], False, "Gv", (), True, "null attaching residue: the top cell splits off"),
+        (
+            9, [1, 0], False, "Gv", (2,), True,
+            "mod-2 case localized away from 2: the two-cell complex splits",
+        ),
+        (
+            8, [120, 80], True, "E8", (3, 5), True,
+            "almost-parallelizable 16-manifold localized away from {3,5}: the degree-8 "
+            "Steenrod square vanishes, so the 2-primary attaching residue dies (Wu formula)",
+        ),
+        (9, [1, 0], False, "Gv", (), False, f"mod-2 case (n = 9 is 1,2 mod 8; {_AQ})"),
+        (
+            8, [120, 80], False, "Gv", (), False,
+            f"n = 4s case, attaching residue modulo the denominator of B_s/4s ({_AQ})",
+        ),
+    ],
+)
+def test_wall_theorem_text_of_every_branch(n, chi, ap, group, away, splits, theorem):
+    tables = Tables.from_lines(["Gv, -, 1..60, 0, -, -, synthetic vanishing group"])
+    M = WallManifold.of(n, chi, ap)
+    dec = gauge_decompose_wall(M, group, away, None if group == "E8" else tables)
+    assert dec.theorem_used == _WALL + theorem
+    assert isinstance(gauge_factors(dec)[0].base, Sphere) == splits
+    assert len(loop_factors(dec)) == (2 if splits else 1)
 
 
 # --- general complexes ----------------------------------------------------------

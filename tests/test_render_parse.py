@@ -166,9 +166,10 @@ def test_traversals_handle_every_tree_parse_accepts(form):
     assert normalize(e) == e
     assert localize(e, {2, 3}) == e
     assert render_text(e) and render_latex(e)
+    assert parse(render_text(e)) == e
     with pytest.raises(ParseError, match="nested too deeply"):
         parse(_nested_text(form, MAX_DEPTH + 1))
-    # text nests at most twice as deep as its tree (alternating prefixes)
+    # a tree half as deep round-trips too
     half = parse(_nested_text(form, MAX_DEPTH // 2))
     assert parse(render_text(half)) == half
 
