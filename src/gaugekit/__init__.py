@@ -1,7 +1,7 @@
 """gaugekit: suspension splittings of highly connected manifolds and product
 decompositions of their gauge groups, computed exactly and symbolically."""
 
-from .exact import CyclicElem, Rational, bernoulli, gcd_mod, imj_order
+from .exact import CyclicElem, bernoulli, gcd_mod, imj_order
 from .groups import FGAbelianGroup
 from .modmatrix import (
     AttachingMatrix,

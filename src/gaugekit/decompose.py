@@ -128,6 +128,12 @@ def _split(
     )
 
 
+def _cone(cells: list[SpaceExpr], top: int, label: str | None = None) -> SpaceExpr:
+    """A top cell attached to the wedge of `cells`; the bare S^top when
+    there are none."""
+    return attached(wedge(*cells), top, label) if cells else Sphere(top)
+
+
 # --- (n-1)-connected 2n-manifolds -------------------------------------------
 
 def index_e(M: WallManifold) -> CyclicElem:
@@ -143,11 +149,11 @@ _ADAMS_QUILLEN = "stable J-image orders after Adams (1966) and Quillen (1971)"
 
 def _wall_base(
     M: WallManifold, away: frozenset[int], group: str | None
-) -> tuple[SpaceExpr, str | None]:
-    """The base of the splitting, S^2n or TC(n, e), and the reason the top
-    cell splits off (None when the two-cell complex stays).  The J-image
-    case is read off the modulus: 1 exactly for n = 3,5,6,7 mod 8, and 2
-    exactly for n = 1,2 mod 8."""
+) -> tuple[SpaceExpr, int, str]:
+    """The base of the splitting, S^2n or TC(n, e), the count of n-spheres
+    left beside it (m, or m-1 beside the two-cell complex), and the reason
+    for that shape, always set.  The J-image case is read off the modulus:
+    1 exactly for n = 3,5,6,7 mod 8, and 2 exactly for n = 1,2 mod 8."""
     n, e = M.n, index_e(M)
     if e.modulus == 1:
         reason = f"trivial J-image case (n = {n} is 3,5,6,7 mod 8; {_ADAMS_QUILLEN})"
@@ -162,8 +168,15 @@ def _wall_base(
             "attaching residue dies (Wu formula)"
         )
     else:
-        return two_cell(n, e), None
-    return Sphere(2 * n), reason
+        if e.modulus == 2:
+            reason = f"mod-2 case (n = {n} is 1,2 mod 8; {_ADAMS_QUILLEN})"
+        else:
+            reason = (
+                "n = 4s case, attaching residue modulo the denominator of B_s/4s "
+                f"({_ADAMS_QUILLEN})"
+            )
+        return two_cell(n, e), M.m - 1, reason
+    return Sphere(2 * n), M.m, reason
 
 
 def suspension_split_wall(M: WallManifold) -> SpaceExpr:
@@ -175,9 +188,8 @@ def suspension_split_wall(M: WallManifold) -> SpaceExpr:
             "suspension splittings of rank-m 4-manifolds are prior work on "
             "simply connected 4-manifolds; this engine starts at n = 3"
         )
-    base, _ = _wall_base(M, frozenset(), None)
-    spheres = M.m if isinstance(base, Sphere) else M.m - 1
-    return wedge(suspension(1, base), *(Sphere(M.n + 1) for _ in range(spheres)))
+    base, spheres, _ = _wall_base(M, frozenset(), None)
+    return wedge(suspension(1, base), *[Sphere(M.n + 1)] * spheres)
 
 
 def gauge_decompose_wall(
@@ -191,7 +203,7 @@ def gauge_decompose_wall(
     requested localization)."""
     tables = tables or default_tables()
     away = _away(localize_away)
-    n, m = M.n, M.m
+    n = M.n
     if n < 3:
         raise UnsupportedManifoldError(
             "gauge groups over rank-m 4-manifolds are prior work on simply "
@@ -209,16 +221,8 @@ def gauge_decompose_wall(
     # surfaces as an error rather than a guessed class label
     classes = tables.pi(group, M.dimension - 1).group
     label = "k" if classes == Z else "alpha"
-    base, reason = _wall_base(M, away, group)
-    if reason is None and base.attach.modulus == 2:
-        reason = f"mod-2 case (n = {n} is 1,2 mod 8; {_ADAMS_QUILLEN})"
-    elif reason is None:
-        reason = (
-            "n = 4s case, attaching residue modulo the denominator of B_s/4s "
-            f"({_ADAMS_QUILLEN})"
-        )
+    base, spheres, reason = _wall_base(M, away, group)
     theorem = f"gauge splitting over (n-1)-connected 2n-manifolds: {reason}"
-    spheres = m if isinstance(base, Sphere) else m - 1
     return _split(base, [Sphere(n)] * spheres, label, group, theorem, away)
 
 
@@ -248,12 +252,8 @@ def gauge_decompose_complex(
         "the two-cone gauge splitting "
         f"(pi_{n - 1} and pi_{n} of the structure group must vanish)",
     )
-    if t == 0:
-        base: SpaceExpr = Sphere(2 * n)
-    else:
-        base = attached(wedge(*(Sphere(n) for _ in range(t))) if t > 1 else Sphere(n), 2 * n)
     return _split(
-        base,
+        _cone([Sphere(n)] * t, 2 * n),
         [Sphere(n)] * (m - t),
         "alpha",
         group,
@@ -326,41 +326,37 @@ def gauge_decompose_sphere_bundle(
 
 # --- (n-2)-connected 2n-manifolds, n = 6, 8 ----------------------------------
 
+# the cells of the (n+1)-skeleton the top cell attaches to, in each case: a
+# copies of SCP2^{n-3}, b of S^{n-1} and h of S^{n+1}; every other cell
+# gives one loop factor
+_N2_CASES = {
+    6: {
+        SigmaFCase.GENERAL: (1, 1, 0),
+        SigmaFCase.IN_SUSPENDED_CP2: (1, 0, 0),
+        SigmaFCase.IN_BOTTOM_SPHERES: (0, 1, 0),
+        SigmaFCase.NULL_HOMOTOPIC: (0, 0, 0),
+    },
+    8: {
+        SigmaFCase.GENERAL: (4, 3, 1),
+        SigmaFCase.IN_SUSPENDED_CP2: (4, 0, 0),
+        SigmaFCase.IN_BOTTOM_SPHERES: (0, 3, 0),
+        SigmaFCase.IN_TOP_SPHERE: (0, 0, 1),
+        SigmaFCase.NULL_HOMOTOPIC: (0, 0, 0),
+    },
+}
+
+
+def _n2_cells(n: int, a: int, b: int, h: int) -> list[SpaceExpr]:
+    """a copies of SCP2^{n-3}, b of S^{n-1} and h of S^{n+1}."""
+    return [SuspCP2(n - 3)] * a + [Sphere(n - 1)] * b + [Sphere(n + 1)] * h
+
+
 def skeleton_split_n2(M: N2Manifold) -> SpaceExpr:
     """Homotopy type of the (n+1)-skeleton: the mod-2 rank c of the attaching
     matrix counts the suspended projective planes; the remaining m-c
     generators contribute sphere pairs."""
-    n, m = M.n, M.m
     c = rank_f2(M.C)
-    parts: list[SpaceExpr] = [SuspCP2(n - 3) for _ in range(c)]
-    for _ in range(m - c):
-        parts.append(Sphere(n - 1))
-        parts.append(Sphere(n + 1))
-    return wedge(*parts)
-
-
-def _n2_case_data(n: int, case: SigmaFCase) -> tuple[SpaceExpr, tuple[int, int, int]]:
-    """Z-piece and the offsets (a, b, h) of the factor counts c-a, m-c-b,
-    m-c-h of (Omega^{n-3} Map*, Omega^{n-1}, Omega^{n+1})."""
-    if n == 6:
-        table = {
-            SigmaFCase.GENERAL: (attached(wedge(SuspCP2(3), Sphere(5)), 12, "f"), (1, 1, 0)),
-            SigmaFCase.IN_SUSPENDED_CP2: (attached(SuspCP2(3), 12), (1, 0, 0)),
-            SigmaFCase.IN_BOTTOM_SPHERES: (attached(Sphere(5), 12), (0, 1, 0)),
-            SigmaFCase.NULL_HOMOTOPIC: (Sphere(12), (0, 0, 0)),
-        }
-    else:
-        table = {
-            SigmaFCase.GENERAL: (
-                attached(wedge(*([SuspCP2(5)] * 4 + [Sphere(7)] * 3 + [Sphere(9)])), 16, "f"),
-                (4, 3, 1),
-            ),
-            SigmaFCase.IN_SUSPENDED_CP2: (attached(wedge(*([SuspCP2(5)] * 4)), 16), (4, 0, 0)),
-            SigmaFCase.IN_BOTTOM_SPHERES: (attached(wedge(*([Sphere(7)] * 3)), 16), (0, 3, 0)),
-            SigmaFCase.IN_TOP_SPHERE: (attached(Sphere(9), 16), (0, 0, 1)),
-            SigmaFCase.NULL_HOMOTOPIC: (Sphere(16), (0, 0, 0)),
-        }
-    return table[case]
+    return wedge(*_n2_cells(M.n, c, M.m - c, M.m - c))
 
 
 def gauge_decompose_n2(
@@ -372,7 +368,7 @@ def gauge_decompose_n2(
     """Gauge decomposition over (n-2)-connected 2n-manifolds for the two
     exceptional cases (n, G) = (6, E7) and (8, E8), by the user-selected
     case of the suspended top attaching map; away from 2 the suspended
-    projective planes split and the decomposition is uniform."""
+    projective planes split, which is the null case with c = 0."""
     tables = tables or default_tables()
     away = _away(localize_away)
     n, m = M.n, M.m
@@ -385,39 +381,30 @@ def gauge_decompose_n2(
     tables.classify_bundles(M.dimension, M.connectivity, group)
 
     c = rank_f2(M.C)
-
+    case = M.sigma_f_case
+    which = f" (case: {case.value})"
     if 2 in away:
-        return _split(
-            Sphere(2 * n),
-            [Sphere(n - 1)] * m + [Sphere(n + 1)] * m,
-            "k",
-            group,
-            f"{group}-gauge decomposition over {M.connectivity}-connected "
-            f"{M.dimension}-manifolds, localized away from 2 (suspended "
-            "projective planes split)",
-            away,
-        )
-
-    piece, offsets = _n2_case_data(n, M.sigma_f_case)
+        case, c = SigmaFCase.NULL_HOMOTOPIC, 0
+        which = ", localized away from 2 (suspended projective planes split)"
+    cells = _N2_CASES[n][case]
     counts = []
-    for name, whole, offset in zip(("c", "m-c", "m-c"), (c, m - c, m - c), offsets):
+    for name, whole, offset in zip(("c", "m-c", "m-c"), (c, m - c, m - c), cells):
         if offset:
             name += f"-{offset}"
         if whole < offset:
             raise CaseInapplicableError(
                 f"factor count {name} = {whole - offset} is negative for rank m={m}, "
-                f"mod-2 rank c={c} in case {M.sigma_f_case.value}; the theorem "
+                f"mod-2 rank c={c} in case {case.value}; the theorem "
                 "presupposes nonnegative counts"
             )
         counts.append(whole - offset)
-    n_map, n_low, n_high = counts
     return _split(
-        piece,
-        [SuspCP2(n - 3)] * n_map + [Sphere(n - 1)] * n_low + [Sphere(n + 1)] * n_high,
+        _cone(_n2_cells(n, *cells), 2 * n, "f" if case is SigmaFCase.GENERAL else None),
+        _n2_cells(n, *counts),
         "k",
         group,
         f"{group}-gauge decomposition over {M.connectivity}-connected "
-        f"{M.dimension}-manifolds (case: {M.sigma_f_case.value})",
+        f"{M.dimension}-manifolds{which}",
         away,
     )
 

@@ -18,13 +18,7 @@ from functools import cache
 from math import gcd
 from typing import Iterable
 
-# Exact rationals are stdlib fractions: always in lowest terms, with a
-# positive denominator.  The alias exists so callers name the contract,
-# not the implementation.
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "CyclicElem",
     "bernoulli",
     "imj_order",

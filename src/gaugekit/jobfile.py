@@ -14,8 +14,9 @@ Common keys: ``kind`` (wall | sphere_bundle | n2 | complex), ``group``,
                  matrix block ``B:`` followed by m rows of r entries
 
 Schema problems raise SchemaError; the values are validated literally
-(for example a chi entry >= its modulus is rejected, not reduced).  Each
-builder pops the keys and blocks it reads; any left over is a SchemaError.
+(for example a chi entry >= its modulus is rejected, not reduced), and a
+key other than ``C`` and ``B`` with an empty value is a SchemaError.  Each
+builder pops the keys it reads; any left over is a SchemaError.
 """
 
 from __future__ import annotations
@@ -50,14 +51,15 @@ class Job:
     fmt: str
 
 
+_Fields = dict[str, tuple[str, list[str]]]
 _BOOLS = {"yes": True, "true": True, "no": False, "false": False}
 
 
-def _split_fields(text: str) -> tuple[dict[str, str], dict[str, list[str]]]:
-    """Scalar keys and matrix blocks (a ``K:`` line followed by bare rows)."""
-    scalars: dict[str, str] = {}
-    blocks: dict[str, list[str]] = {}
-    current_block: list[str] | None = None
+def _split_fields(text: str) -> _Fields:
+    """Each key's inline value and the bare rows under it (only a key with
+    an empty value takes rows); the builder that reads a key decides."""
+    fields: _Fields = {}
+    rows: list[str] | None = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -68,38 +70,41 @@ def _split_fields(text: str) -> tuple[dict[str, str], dict[str, list[str]]]:
             value = value.strip()
             if not key:
                 raise SchemaError(f"line {lineno}: missing key")
-            if value:
-                if key in scalars:
-                    raise SchemaError(f"line {lineno}: duplicate key {key!r}")
-                scalars[key] = value
-                current_block = None
-            else:
-                if key in blocks:
-                    raise SchemaError(f"line {lineno}: duplicate matrix block {key!r}")
-                current_block = blocks.setdefault(key, [])
+            if key in fields:
+                what = "key" if value else "matrix block"
+                raise SchemaError(f"line {lineno}: duplicate {what} {key!r}")
+            fields[key] = (value, [])
+            rows = None if value else fields[key][1]
         else:
-            if current_block is None:
+            if rows is None:
                 raise SchemaError(f"line {lineno}: row outside a matrix block: {line!r}")
-            current_block.append(line.strip())
-    return scalars, blocks
+            rows.append(line.strip())
+    return fields
 
 
-def _get(scalars: dict[str, str], key: str) -> str:
-    if key not in scalars:
-        raise SchemaError(f"missing required key {key!r}")
-    return scalars.pop(key)
+def _get(fields: _Fields, key: str, default: str | None = None, what: str = "nonempty") -> str:
+    """The inline value of `key`, or `default` when it is absent (required
+    when there is none); an empty value is a schema error."""
+    if key not in fields:
+        if default is None:
+            raise SchemaError(f"missing required key {key!r}")
+        return default
+    value = fields.pop(key)[0]
+    if not value:
+        raise SchemaError(f"{key!r} must be {what}, got ''")
+    return value
 
 
-def _get_int(scalars: dict[str, str], key: str) -> int:
-    value = _get(scalars, key)
+def _get_int(fields: _Fields, key: str) -> int:
+    value = _get(fields, key, what="an integer")
     try:
         return int(value)
     except ValueError:
         raise SchemaError(f"{key!r} must be an integer, got {value!r}") from None
 
 
-def _get_bool(scalars: dict[str, str], key: str) -> bool:
-    value = scalars.pop(key, "no")
+def _get_bool(fields: _Fields, key: str) -> bool:
+    value = _get(fields, key, "no", "yes/no")
     flag = _BOOLS.get(value.lower())
     if flag is None:
         raise SchemaError(f"{key!r} must be yes/no, got {value!r}")
@@ -123,11 +128,12 @@ def parse_primes(field: str) -> frozenset[int]:
     return frozenset(primes)
 
 
-def _matrix(blocks: dict[str, list[str]], key: str, kind: str) -> list[list[int]]:
-    if key not in blocks:
+def _matrix(fields: _Fields, key: str, kind: str) -> list[list[int]]:
+    value, rows = fields.pop(key, (None, []))
+    if value != "":
         raise SchemaError(f"{kind} jobs need a matrix block '{key}:'")
     out = []
-    for row in blocks.pop(key):
+    for row in rows:
         try:
             out.append([int(x) for x in row.split()])
         except ValueError:
@@ -136,23 +142,23 @@ def _matrix(blocks: dict[str, list[str]], key: str, kind: str) -> list[list[int]
 
 
 def parse_job_text(text: str) -> Job:
-    scalars, blocks = _split_fields(text)
-    kind = _get(scalars, "kind")
+    fields = _split_fields(text)
+    kind = _get(fields, "kind")
     if kind not in _BUILD:
         raise SchemaError(f"kind must be one of {tuple(_BUILD)}, got {kind!r}")
-    group = _get(scalars, "group")
-    away = parse_primes(scalars.pop("localize_away", ""))
-    fmt = scalars.pop("format", "text")
+    group = _get(fields, "group")
+    away = parse_primes(_get(fields, "localize_away", ""))
+    fmt = _get(fields, "format", "text")
     if fmt not in ("text", "latex"):
         raise SchemaError(f"format must be text or latex, got {fmt!r}")
 
     try:
-        spec = _BUILD[kind](scalars, blocks)
+        spec = _BUILD[kind](fields)
     except ValueError as exc:
         if isinstance(exc, SchemaError):
             raise
         raise SchemaError(str(exc)) from exc
-    unread = [*map(repr, scalars), *(f"matrix block {key!r}" for key in blocks)]
+    unread = [f"matrix block {key!r}" if rows else repr(key) for key, (_, rows) in fields.items()]
     if unread:
         raise SchemaError(f"{kind} jobs do not read {', '.join(unread)}")
     return Job(kind, spec, group, away, fmt)
@@ -167,12 +173,12 @@ def parse_job_file(path: Path | str) -> Job:
     return parse_job_text(text)
 
 
-def _build_wall(scalars: dict[str, str], blocks: dict[str, list[str]]) -> WallManifold:
-    n = _get_int(scalars, "n")
-    m = _get_int(scalars, "m")
+def _build_wall(fields: _Fields) -> WallManifold:
+    n = _get_int(fields, "n")
+    m = _get_int(fields, "m")
     if m < 1:
         raise SchemaError(f"rank m must be >= 1, got {m}")
-    chi_field = _get(scalars, "chi").replace(",", " ").split()
+    chi_field = _get(fields, "chi").replace(",", " ").split()
     if len(chi_field) != m:
         raise SchemaError(f"chi must list exactly m={m} residues, got {len(chi_field)}")
     try:
@@ -191,31 +197,31 @@ def _build_wall(scalars: dict[str, str], blocks: dict[str, list[str]]) -> WallMa
     return WallManifold(
         n,
         tuple(CyclicElem(v, d) for v in values),
-        _get_bool(scalars, "almost_parallelizable"),
+        _get_bool(fields, "almost_parallelizable"),
     )
 
 
-def _build_bundle(scalars: dict[str, str], blocks: dict[str, list[str]]) -> SphereBundle:
+def _build_bundle(fields: _Fields) -> SphereBundle:
     return SphereBundle(
-        q=_get_int(scalars, "q"),
-        n=_get_int(scalars, "n"),
-        has_section=_get_bool(scalars, "has_section"),
-        j_xi_trivial=_get_bool(scalars, "j_xi_trivial"),
-        clutching_note=scalars.pop("clutching_note", ""),
+        q=_get_int(fields, "q"),
+        n=_get_int(fields, "n"),
+        has_section=_get_bool(fields, "has_section"),
+        j_xi_trivial=_get_bool(fields, "j_xi_trivial"),
+        clutching_note=_get(fields, "clutching_note", ""),
     )
 
 
-def _build_n2(scalars: dict[str, str], blocks: dict[str, list[str]]) -> N2Manifold:
-    n = _get_int(scalars, "n")
-    m = _get_int(scalars, "m")
-    rows = _matrix(blocks, "C", "n2")
+def _build_n2(fields: _Fields) -> N2Manifold:
+    n = _get_int(fields, "n")
+    m = _get_int(fields, "m")
+    rows = _matrix(fields, "C", "n2")
     if len(rows) != m or any(len(r) != m for r in rows):
         raise SchemaError(f"C must be an {m}x{m} bit matrix")
     for row in rows:
         for b in row:
             if b not in (0, 1):
                 raise SchemaError(f"C entries must be bits, got {b}")
-    case_field = scalars.pop("sigma_f_case", "general")
+    case_field = _get(fields, "sigma_f_case", "general")
     try:
         case = SigmaFCase(case_field)
     except ValueError:
@@ -224,10 +230,10 @@ def _build_n2(scalars: dict[str, str], blocks: dict[str, list[str]]) -> N2Manifo
     return N2Manifold(n, F2Matrix.from_rows(rows), case)
 
 
-def _build_complex(scalars: dict[str, str], blocks: dict[str, list[str]]) -> GeneralComplex:
-    n = _get_int(scalars, "n")
-    m = _get_int(scalars, "m")
-    moduli_field = _get(scalars, "moduli").replace(",", " ").split()
+def _build_complex(fields: _Fields) -> GeneralComplex:
+    n = _get_int(fields, "n")
+    m = _get_int(fields, "m")
+    moduli_field = _get(fields, "moduli").replace(",", " ").split()
     try:
         moduli = [int(d) for d in moduli_field]
     except ValueError:
@@ -237,7 +243,7 @@ def _build_complex(scalars: dict[str, str], blocks: dict[str, list[str]]) -> Gen
     for lo, hi in zip(moduli, moduli[1:]):
         if hi % lo != 0:
             raise SchemaError(f"moduli must form a divisibility chain, got {moduli}")
-    rows = _matrix(blocks, "B", "complex")
+    rows = _matrix(fields, "B", "complex")
     if len(rows) != m or any(len(r) != len(moduli) for r in rows):
         raise SchemaError(f"B must be {m}x{len(moduli)} (one column per modulus)")
     for row in rows:

@@ -192,11 +192,15 @@ def two_cell(bottom: int, attach: CyclicElem) -> SpaceExpr:
 
 def attached(skeleton: SpaceExpr, top: int, label: str | None = None) -> SpaceExpr:
     """An empty label is no label: both render alike, so they must be equal."""
+    if not isinstance(skeleton, SpaceExpr):
+        _not_a_space(skeleton)
     return AttachedComplex(skeleton, top, label or None)
 
 
 def gauge(base: SpaceExpr, label: str = "k", group: str | None = None) -> Gauge:
     """An empty group annotation is no annotation, as for `attached`."""
+    if not isinstance(base, SpaceExpr):
+        _not_a_space(base)
     return Gauge(base, label, group or None)
 
 
@@ -205,8 +209,10 @@ def _flatten(cls, parts) -> list[SpaceExpr]:
     for p in parts:
         if isinstance(p, cls):
             out.extend(p.parts)
-        else:
+        elif isinstance(p, SpaceExpr):
             out.append(p)
+        else:
+            _not_a_space(p)
     return out
 
 
@@ -231,6 +237,8 @@ def product(*parts: SpaceExpr) -> SpaceExpr:
 def loop(power: int, space: SpaceExpr) -> SpaceExpr:
     if isinstance(space, Loop):
         return Loop(power + space.power, space.space)
+    if not isinstance(space, SpaceExpr):
+        _not_a_space(space)
     return Loop(power, space)
 
 
@@ -243,6 +251,8 @@ def suspension(power: int, space: SpaceExpr) -> SpaceExpr:
         return SuspCP2(space.k + power)
     if isinstance(space, Wedge):
         return wedge(*(suspension(power, p) for p in space.parts))
+    if not isinstance(space, SpaceExpr):
+        _not_a_space(space)
     return Suspension(power, space)
 
 

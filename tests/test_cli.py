@@ -289,6 +289,31 @@ def test_key_the_kind_does_not_read_exits_4(tmp_path, capsys):
     assert err.count("error:") == 3
 
 
+def test_empty_scalar_is_read_as_its_value_exits_4(tmp_path, capsys):
+    # only C: and B: take rows; any other key with an empty value is a scalar
+    empties = {
+        "a.job": (WALL_E6.replace("n: 5", "n:"), "'n' must be an integer, got ''"),
+        "b.job": (
+            WALL_E6 + "almost_parallelizable:\n",
+            "'almost_parallelizable' must be yes/no, got ''",
+        ),
+    }
+    for name, (text, message) in empties.items():
+        code, out, err = run(capsys, "decompose", write(tmp_path, name, text))
+        assert (code, out) == (4, "")
+        assert message in err
+
+    jobs = tmp_path / "jobs"
+    jobs.mkdir()
+    for name, (text, _) in empties.items():
+        (jobs / name).write_text(text, encoding="utf-8")
+    (jobs / "c.job").write_text(WALL_E6, encoding="utf-8")
+    code, out, err = run(capsys, "decompose", "--jobs", str(jobs))
+    assert code == 4  # worst exit among the batch
+    assert "== c.job" in out and "G_k(S^10)" in out
+    assert err.count("error:") == 2
+
+
 def test_non_utf8_job_file_exits_4(tmp_path, capsys):
     bad = tmp_path / "bad.job"
     bad.write_bytes(b"kind: wall\nn: 5\ngroup: E\xff6\n")

@@ -414,6 +414,81 @@ def test_n2_case_inapplicable_counts():
         gauge_decompose_n2(M2, "E7")
 
 
+def _diagonal(m: int, c: int) -> F2Matrix:
+    """An m x m bit matrix of mod-2 rank c."""
+    return F2Matrix.from_rows([[int(i == j < c) for j in range(m)] for i in range(m)])
+
+
+_N2_TEXTS = {
+    (6, SigmaFCase.GENERAL): "Sigma^1 ((SCP2^3 v S^5) u[f] e^12) v SCP2^4 v S^6 v S^8 v S^8",
+    (6, SigmaFCase.IN_SUSPENDED_CP2): "Sigma^1 (SCP2^3 u e^12) v SCP2^4 v S^6 v S^6 v S^8 v S^8",
+    (6, SigmaFCase.IN_BOTTOM_SPHERES): (
+        "Sigma^1 (S^5 u e^12) v SCP2^4 v SCP2^4 v S^6 v S^8 v S^8"
+    ),
+    (6, SigmaFCase.NULL_HOMOTOPIC): "SCP2^4 v SCP2^4 v S^6 v S^6 v S^8 v S^8 v S^13",
+    (8, SigmaFCase.GENERAL): (
+        "Sigma^1 ((SCP2^5 v SCP2^5 v SCP2^5 v SCP2^5 v S^7 v S^7 v S^7 v S^9) u[f] e^16) "
+        "v SCP2^6 v S^10 v S^10"
+    ),
+    (8, SigmaFCase.IN_SUSPENDED_CP2): (
+        "Sigma^1 ((SCP2^5 v SCP2^5 v SCP2^5 v SCP2^5) u e^16) v SCP2^6 v S^8 v S^8 v S^8 "
+        "v S^10 v S^10 v S^10"
+    ),
+    (8, SigmaFCase.IN_BOTTOM_SPHERES): (
+        "Sigma^1 ((S^7 v S^7 v S^7) u e^16) v SCP2^6 v SCP2^6 v SCP2^6 v SCP2^6 v SCP2^6 "
+        "v S^10 v S^10 v S^10"
+    ),
+    (8, SigmaFCase.IN_TOP_SPHERE): (
+        "Sigma^1 (S^9 u e^16) v SCP2^6 v SCP2^6 v SCP2^6 v SCP2^6 v SCP2^6 v S^8 v S^8 v S^8 "
+        "v S^10 v S^10"
+    ),
+    (8, SigmaFCase.NULL_HOMOTOPIC): (
+        "SCP2^6 v SCP2^6 v SCP2^6 v SCP2^6 v SCP2^6 v S^8 v S^8 v S^8 v S^10 v S^10 v S^10 "
+        "v S^17"
+    ),
+}
+_N2_AWAY_FROM_2 = {
+    6: "S^6 v S^6 v S^6 v S^6 v S^8 v S^8 v S^8 v S^8 v S^13",
+    8: "S^8 v S^8 v S^8 v S^8 v S^8 v S^8 v S^8 v S^8 v S^10 v S^10 v S^10 v S^10 v S^10 "
+    "v S^10 v S^10 v S^10 v S^17",
+}
+
+
+@pytest.mark.parametrize("n, case", list(_N2_TEXTS))
+def test_n2_case_texts_are_pinned(n, case):
+    group, m, c = {6: ("E7", 4, 2), 8: ("E8", 8, 5)}[n]
+    setting = f"{group}-gauge decomposition over {n - 2}-connected {2 * n}-manifolds"
+    M = N2Manifold(n, _diagonal(m, c), case)
+    d = gauge_decompose_n2(M, group)
+    assert render_text(d.suspension) == _N2_TEXTS[n, case]
+    assert d.theorem_used == f"{setting} (case: {case.value})"
+    d = gauge_decompose_n2(M, group, [2])
+    assert render_text(d.suspension) == _N2_AWAY_FROM_2[n]
+    assert d.theorem_used == (
+        f"{setting}, localized away from 2 (suspended projective planes split)"
+    )
+
+
+@pytest.mark.parametrize(
+    "n, m, c, case, count",
+    [
+        (6, 2, 0, SigmaFCase.GENERAL, "c-1"),
+        (6, 2, 2, SigmaFCase.GENERAL, "m-c-1"),
+        (8, 8, 3, SigmaFCase.GENERAL, "c-4"),
+        (8, 8, 6, SigmaFCase.GENERAL, "m-c-3"),
+        (8, 2, 2, SigmaFCase.IN_TOP_SPHERE, "m-c-1"),
+    ],
+)
+def test_n2_negative_count_message_is_pinned(n, m, c, case, count):
+    M = N2Manifold(n, _diagonal(m, c), case)
+    with pytest.raises(CaseInapplicableError) as err:
+        gauge_decompose_n2(M, {6: "E7", 8: "E8"}[n])
+    assert str(err.value) == (
+        f"factor count {count} = -1 is negative for rank m={m}, mod-2 rank c={c} in case "
+        f"{case.value}; the theorem presupposes nonnegative counts"
+    )
+
+
 def test_n2_wrong_group_unsupported():
     M = N2Manifold(6, F2Matrix.identity(2))
     with pytest.raises(UnsupportedManifoldError):

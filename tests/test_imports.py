@@ -40,3 +40,47 @@ def test_package_modules_import_nothing_unused():
     assert modules
     found = {p.name: unused_imports(p.read_text(encoding="utf-8")) for p in modules}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level `_name` functions, classes and assignments that no
+    module reads, by name, as an attribute or through an import."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined += [
+                (module, name, node.lineno)
+                for name in names
+                if name.startswith("_") and not name.startswith("__")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [f"{m}: {name} (line {line})" for m, name, line in defined if name not in read]
+
+
+def test_unread_private_name_check_sees_each_kind():
+    a = "def _f(): pass\ndef _g(): pass\nclass _C: pass\n_X = 1\n_Y: int = 2\n_g()\n"
+    assert unread_private_names({"a": a}) == [
+        "a: _f (line 1)", "a: _C (line 3)", "a: _X (line 4)", "a: _Y (line 5)"
+    ]
+    b = "from a import _f\nimport a\nprint(a._C, _X)\n"
+    assert unread_private_names({"a": a, "b": b}) == ["a: _Y (line 5)"]
+
+
+def test_package_defines_no_unread_private_name():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []

@@ -188,3 +188,15 @@ def test_every_entry_point_rejects_a_node_that_is_not_a_space():
         for call in entry_points:
             with pytest.raises(TypeError, match="not a space expression: 42"):
                 call(bad)
+    # the smart constructors check the operand they are given, not below it
+    constructors = [
+        wedge,
+        product,
+        lambda e: loop(1, e),
+        lambda e: suspension(1, e),
+        lambda e: attached(e, 4),
+        gauge,
+    ]
+    for call in constructors:
+        with pytest.raises(TypeError, match="not a space expression: 42"):
+            call(42)
