@@ -11,7 +11,6 @@ from .modmatrix import (
     apply_rowop,
     nonzero_column_count,
     rank_f2,
-    reduce_restricted,
     reduce_with_report,
     replay_oplog,
     rowop_orbit,

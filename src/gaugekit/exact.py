@@ -32,45 +32,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CyclicElem:
-    """A residue in Z/modulus.
-
-    modulus = 0 encodes the infinite cyclic group Z, in which case value is
-    an arbitrary signed integer.  For modulus > 0 the stored value is the
-    canonical representative in [0, modulus).
-    """
+    """A residue in Z/modulus (modulus >= 1), stored as its canonical
+    representative in [0, modulus)."""
 
     value: int
     modulus: int
 
     def __post_init__(self) -> None:
-        if self.modulus < 0:
-            raise ValueError(f"modulus must be >= 0, got {self.modulus}")
-        if self.modulus > 0:
-            object.__setattr__(self, "value", self.value % self.modulus)
-
-    def __add__(self, other: "CyclicElem") -> "CyclicElem":
-        if self.modulus != other.modulus:
-            raise ValueError("cannot add residues with different moduli")
-        return CyclicElem(self.value + other.value, self.modulus)
-
-    def __neg__(self) -> "CyclicElem":
-        return CyclicElem(-self.value, self.modulus)
-
-    def __mul__(self, k: int) -> "CyclicElem":
-        return CyclicElem(self.value * k, self.modulus)
-
-    __rmul__ = __mul__
+        if self.modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
+        object.__setattr__(self, "value", self.value % self.modulus)
 
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def order(self) -> int:
-        """Order of the element in its cyclic group (finite modulus only)."""
-        return element_order(self.value, self.modulus)
-
     def __str__(self) -> str:
-        if self.modulus == 0:
-            return str(self.value)
         return f"{self.value} mod {self.modulus}"
 
 
@@ -145,8 +121,6 @@ def gcd_mod(elems: Iterable[CyclicElem]) -> int:
     if not elems:
         raise ValueError("gcd_mod requires a nonempty multiset")
     d = elems[0].modulus
-    if d <= 0:
-        raise ValueError("gcd_mod requires a positive modulus")
     if any(e.modulus != d for e in elems):
         raise ValueError("gcd_mod requires all elements to share one modulus")
     if len(elems) == 1:

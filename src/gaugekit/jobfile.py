@@ -13,10 +13,15 @@ Common keys: ``kind`` (wall | sphere_bundle | n2 | complex), ``group``,
   complex        n, m, moduli (divisibility chain d_1 .. d_r), then a
                  matrix block ``B:`` followed by m rows of r entries
 
-Schema problems raise SchemaError; the values are validated literally
-(for example a chi entry >= its modulus is rejected, not reduced), and a
-key other than ``C`` and ``B`` with an empty value is a SchemaError.  Each
-builder pops the keys it reads; any left over is a SchemaError.
+Schema problems raise SchemaError.  The builders check only what a job
+file alone can know: syntax (integers, yes/no, enum names), counts against
+the declared m, and that chi residues and B entries are already reduced
+(a chi entry >= its modulus is rejected, not reduced).  Every other rule
+is owned by the model type being built (WallManifold via chi_modulus,
+AttachingMatrix, F2Matrix, N2Manifold, ...), whose ValueError becomes a
+SchemaError with the same text.  A key other than ``C`` and ``B`` with an
+empty value is a SchemaError.  Each builder pops the keys it reads; any
+left over is a SchemaError.
 """
 
 from __future__ import annotations
@@ -24,15 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .exact import CyclicElem, is_prime
-from .manifolds import (
-    GeneralComplex,
-    N2Manifold,
-    SigmaFCase,
-    SphereBundle,
-    WallManifold,
-    chi_modulus,
-)
+from .exact import is_prime
+from .manifolds import GeneralComplex, N2Manifold, SigmaFCase, SphereBundle, WallManifold
 from .modmatrix import AttachingMatrix, F2Matrix
 
 __all__ = ["SchemaError", "Job", "parse_job_file", "parse_job_text", "parse_primes"]
@@ -185,20 +183,14 @@ def _build_wall(fields: _Fields) -> WallManifold:
         values = [int(v) for v in chi_field]
     except ValueError:
         raise SchemaError("chi entries must be integers") from None
-    if n < 2:
-        raise SchemaError(f"wall manifolds need n >= 2, got {n}")
-    d = chi_modulus(n)
+    wall = WallManifold.of(n, values, _get_bool(fields, "almost_parallelizable"))
     for v in values:
-        if not 0 <= v < d:
+        if not 0 <= v < wall.modulus:
             raise SchemaError(
-                f"chi entry {v} is out of range for modulus {d} (values must be "
+                f"chi entry {v} is out of range for modulus {wall.modulus} (values must be "
                 "given as reduced residues)"
             )
-    return WallManifold(
-        n,
-        tuple(CyclicElem(v, d) for v in values),
-        _get_bool(fields, "almost_parallelizable"),
-    )
+    return wall
 
 
 def _build_bundle(fields: _Fields) -> SphereBundle:
@@ -217,17 +209,14 @@ def _build_n2(fields: _Fields) -> N2Manifold:
     rows = _matrix(fields, "C", "n2")
     if len(rows) != m or any(len(r) != m for r in rows):
         raise SchemaError(f"C must be an {m}x{m} bit matrix")
-    for row in rows:
-        for b in row:
-            if b not in (0, 1):
-                raise SchemaError(f"C entries must be bits, got {b}")
+    C = F2Matrix.from_rows(rows)
     case_field = _get(fields, "sigma_f_case", "general")
     try:
         case = SigmaFCase(case_field)
     except ValueError:
         valid = ", ".join(c.value for c in SigmaFCase)
         raise SchemaError(f"sigma_f_case must be one of: {valid}; got {case_field!r}") from None
-    return N2Manifold(n, F2Matrix.from_rows(rows), case)
+    return N2Manifold(n, C, case)
 
 
 def _build_complex(fields: _Fields) -> GeneralComplex:
@@ -238,14 +227,10 @@ def _build_complex(fields: _Fields) -> GeneralComplex:
         moduli = [int(d) for d in moduli_field]
     except ValueError:
         raise SchemaError("moduli must be integers") from None
-    if not moduli or any(d < 1 for d in moduli):
-        raise SchemaError("moduli must be a nonempty list of positive integers")
-    for lo, hi in zip(moduli, moduli[1:]):
-        if hi % lo != 0:
-            raise SchemaError(f"moduli must form a divisibility chain, got {moduli}")
     rows = _matrix(fields, "B", "complex")
     if len(rows) != m or any(len(r) != len(moduli) for r in rows):
         raise SchemaError(f"B must be {m}x{len(moduli)} (one column per modulus)")
+    B = AttachingMatrix.from_rows(rows, moduli)
     for row in rows:
         for v, d in zip(row, moduli):
             if not 0 <= v < d:
@@ -253,7 +238,7 @@ def _build_complex(fields: _Fields) -> GeneralComplex:
                     f"B entry {v} is out of range for its column modulus {d} "
                     "(values must be given as reduced residues)"
                 )
-    return GeneralComplex(n, AttachingMatrix.from_rows(rows, moduli))
+    return GeneralComplex(n, B)
 
 
 _BUILD = {

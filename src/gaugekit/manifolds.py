@@ -27,7 +27,10 @@ __all__ = [
 def chi_modulus(n: int) -> int:
     """Modulus of the middle-cohomology attaching invariants of an
     (n-1)-connected 2n-manifold: the order of the stable J-image in the
-    (n-1)-stem.  n = 2 is admitted with modulus 2 (the 1-stem)."""
+    (n-1)-stem.  n = 2 is admitted with modulus 2 (the 1-stem); every wall
+    gets its n >= 2 check here."""
+    if n < 2:
+        raise ValueError(f"wall manifolds need n >= 2, got {n}")
     if n == 2:
         return 2
     return imj_order(n)
@@ -44,11 +47,9 @@ class WallManifold:
     almost_parallelizable: bool = False
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got n={self.n}")
+        d = chi_modulus(self.n)
         if not self.chi:
             raise ValueError("rank must be >= 1 (one residue per cohomology generator)")
-        d = chi_modulus(self.n)
         for c in self.chi:
             if c.modulus != d:
                 raise ValueError(
@@ -71,7 +72,7 @@ class WallManifold:
 
     @property
     def modulus(self) -> int:
-        return chi_modulus(self.n)
+        return self.chi[0].modulus
 
     @property
     def dimension(self) -> int:

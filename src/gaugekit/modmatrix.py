@@ -26,7 +26,6 @@ __all__ = [
     "F2Matrix",
     "apply_rowop",
     "replay_oplog",
-    "reduce_restricted",
     "reduce_with_report",
     "nonzero_column_count",
     "rank_f2",
@@ -136,7 +135,7 @@ class AttachingMatrix:
                 raise ValueError("column moduli must be positive")
         for lo, hi in zip(self.moduli, self.moduli[1:]):
             if hi % lo != 0:
-                raise ValueError(f"moduli must form a divisibility chain, got {self.moduli}")
+                raise ValueError(f"moduli must form a divisibility chain, got {list(self.moduli)}")
         norm = tuple(
             tuple(v % d for v, d in zip(row, self.moduli))
             for row in self.entries
@@ -310,12 +309,6 @@ def reduce_with_report(B: AttachingMatrix) -> tuple[AttachingMatrix, ReductionRe
     return reduced, ReductionReport(tuple(pivots), tuple(notes))
 
 
-def reduce_restricted(B: AttachingMatrix) -> AttachingMatrix:
-    """Triangular form of B under the restricted row operations; the
-    operation log certifies reachability."""
-    return reduce_with_report(B)[0]
-
-
 def nonzero_column_count(B: AttachingMatrix) -> int:
     return sum(
         1
@@ -374,7 +367,7 @@ class F2Matrix:
                 raise ValueError("matrix must be square")
             for bit in row:
                 if bit not in (0, 1):
-                    raise ValueError("entries must be bits")
+                    raise ValueError(f"entries must be bits, got {bit}")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "F2Matrix":

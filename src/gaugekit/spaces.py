@@ -183,8 +183,6 @@ def sort_key(e: SpaceExpr):
 def two_cell(bottom: int, attach: CyclicElem) -> SpaceExpr:
     """Two-cell complex S^bottom cup e^(2*bottom); the zero attaching class
     splits it into the wedge of its cells."""
-    if attach.modulus <= 0:
-        raise ValueError("two-cell attaching class needs a finite modulus")
     if attach.value == 0:
         return wedge(Sphere(bottom), Sphere(2 * bottom))
     return TwoCell(bottom, attach)

@@ -126,8 +126,7 @@ class TableEntry:
     family: str
     params: tuple[str, ...]
     degree_spec: str
-    group: FGAbelianGroup | None          # None for candidate sets
-    candidates: tuple[FGAbelianGroup, ...] | None
+    groups: tuple[FGAbelianGroup, ...]    # more than one for a candidate set
     validity: str | None
     citation: str
     condition: CodeType = field(repr=False, compare=False)
@@ -157,9 +156,7 @@ def _parse_record(line: str, source: str) -> TableEntry:
         )
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from None
-    if len(groups) > 1:
-        return TableEntry(family, params, degree_spec, None, groups, validity, citation, condition)
-    return TableEntry(family, params, degree_spec, groups[0], None, validity, citation, condition)
+    return TableEntry(family, params, degree_spec, groups, validity, citation, condition)
 
 
 def _records(lines: list[str], source: str):
@@ -244,22 +241,19 @@ class Tables:
         """Homotopy group of a named space, with its provenance.  Raises
         NotTabulatedError outside the tables (never guesses)."""
         entry = self._find(space, degree)
-        if entry.group is None:
+        if len(entry.groups) > 1:
             raise NotTabulatedError(
                 space,
                 degree,
                 "only a candidate set is known; use pi_candidates",
             )
-        return GroupQueryResult(entry.group, entry.citation)
+        return GroupQueryResult(entry.groups[0], entry.citation)
 
     def pi_candidates(self, space: str, degree: int) -> tuple[GroupQueryResult, ...]:
         """Candidate set for a degree that is only pinned down to finitely
         many possible groups."""
         entry = self._find(space, degree)
-        if entry.candidates is not None:
-            return tuple(GroupQueryResult(g, entry.citation) for g in entry.candidates)
-        assert entry.group is not None
-        return (GroupQueryResult(entry.group, entry.citation),)
+        return tuple(GroupQueryResult(g, entry.citation) for g in entry.groups)
 
     def first_nonvanishing(
         self,

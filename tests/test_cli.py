@@ -1,7 +1,10 @@
 from pathlib import Path
 
+import pytest
 
 from gaugekit.cli import main
+from gaugekit.manifolds import WallManifold, chi_modulus
+from gaugekit.modmatrix import AttachingMatrix, F2Matrix
 
 from support import seconds_in_fresh_interpreter
 
@@ -389,6 +392,123 @@ def test_sample_jobs_all_run(capsys):
     for job in sorted(samples.glob("*.job")):
         code, out, err = run(capsys, "decompose", str(job))
         assert code == 0, (job.name, err)
+
+
+def test_sample_jobs_output_matches_golden(capsys):
+    # tests/golden/README.txt records how the golden file was written
+    root = Path(__file__).resolve().parents[1]
+    runs = []
+    for flags in ((), ("--trace",), ("--format", "latex")):
+        code, out, err = run(capsys, "decompose", "--jobs", str(root / "sample_jobs"), *flags)
+        assert (code, err) == (0, "")
+        runs.append(" ".join(("$ gaugekit decompose --jobs sample_jobs",) + flags) + "\n" + out)
+    golden = root / "tests" / "golden" / "sample_jobs.txt"
+    assert "".join(runs) == golden.read_text(encoding="utf-8")
+
+
+COMPLEX_2COL_JOB = """\
+kind: complex
+n: 6
+m: 2
+moduli: 2 4
+B:
+1 2
+0 3
+group: E7
+"""
+
+_RESIDUES = "(values must be given as reduced residues)"
+
+# the job file checks syntax, counts and reduced residues; the model types
+# check the rest, and their texts reach the user unchanged
+MALFORMED = {
+    **{
+        f"wall n {n}": (WALL_E6.replace("n: 5", f"n: {n}"), f"wall manifolds need n >= 2, got {n}")
+        for n in (1, 0, -3)
+    },
+    **{
+        f"wall m {m}": (WALL_E6.replace("m: 3", f"m: {m}"), f"rank m must be >= 1, got {m}")
+        for m in (0, -1)
+    },
+    "wall chi count": (
+        WALL_E6.replace("chi: 0 0 0", "chi: 0 0"),
+        "chi must list exactly m=3 residues, got 2",
+    ),
+    "wall chi out of range": (
+        WALL_BAD_CHI,
+        f"chi entry 240 is out of range for modulus 240 {_RESIDUES}",
+    ),
+    "wall chi negative": (
+        WALL_BAD_CHI.replace("240 80", "-1 80"),
+        f"chi entry -1 is out of range for modulus 240 {_RESIDUES}",
+    ),
+    "wall chi not an integer": (
+        WALL_E6.replace("chi: 0 0 0", "chi: 0 x 0"),
+        "chi entries must be integers",
+    ),
+    "complex moduli not a chain": (
+        COMPLEX_2COL_JOB.replace("moduli: 2 4", "moduli: 2 3"),
+        "moduli must form a divisibility chain, got [2, 3]",
+    ),
+    "complex moduli zero": (
+        COMPLEX_JOB.replace("moduli: 24", "moduli: 0"),
+        "column moduli must be positive",
+    ),
+    "complex moduli negative": (
+        COMPLEX_JOB.replace("moduli: 24", "moduli: -2"),
+        "column moduli must be positive",
+    ),
+    "complex moduli empty": (
+        "kind: complex\nn: 6\nm: 1\nmoduli: ,\nB:\n1\ngroup: E7\n",
+        "B must be 1x0 (one column per modulus)",
+    ),
+    "complex B shape": (
+        COMPLEX_JOB.replace("B:\n2\n3\n0\n", "B:\n2\n3\n"),
+        "B must be 3x1 (one column per modulus)",
+    ),
+    "complex B out of range": (
+        COMPLEX_JOB.replace("B:\n2\n3\n", "B:\n2\n24\n"),
+        f"B entry 24 is out of range for its column modulus 24 {_RESIDUES}",
+    ),
+    "complex m 0": (
+        COMPLEX_JOB.replace("m: 3", "m: 0"),
+        "B must be 0x1 (one column per modulus)",
+    ),
+    "n2 C not bits": (N2_JOB.replace("1 0 0 0\n", "2 0 0 0\n"), "entries must be bits, got 2"),
+    "n2 C shape": (N2_JOB.replace("0 1 0 0\n", "0 1 0\n"), "C must be an 4x4 bit matrix"),
+    "n2 n 5": (N2_JOB.replace("n: 6", "n: 5"), "only n = 6 and n = 8 are supported, got n=5"),
+    "n2 top sphere at n 6": (
+        N2_JOB.replace("sigma_f_case: null", "sigma_f_case: in_top_sphere"),
+        "the in_top_sphere case exists only for n = 8 (the 12-dimensional theorem has four cases)",
+    ),
+    "bundle q 0": (BUNDLE_JOB.replace("q: 5", "q: 0"), "need fibre and base dimensions >= 1"),
+}
+
+
+@pytest.mark.parametrize("text, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_job_exits_4_with_its_message(tmp_path, capsys, text, message):
+    path = write(tmp_path, "bad.job", text)
+    assert run(capsys, "decompose", path) == (4, "", f"error: {path}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: chi_modulus(1), "wall manifolds need n >= 2, got 1"),
+        (lambda: WallManifold.of(0, [0]), "wall manifolds need n >= 2, got 0"),
+        (
+            lambda: AttachingMatrix.from_rows([[0, 0]], [2, 3]),
+            "moduli must form a divisibility chain, got [2, 3]",
+        ),
+        (lambda: AttachingMatrix.from_rows([[0]], [0]), "column moduli must be positive"),
+        (lambda: F2Matrix.from_rows([[2]]), "entries must be bits, got 2"),
+    ],
+    ids=["chi_modulus", "WallManifold", "AttachingMatrix chain", "AttachingMatrix zero", "F2Matrix"],
+)
+def test_model_types_raise_the_job_file_texts(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_large_prime_localize_away_exits_0_promptly(tmp_path):

@@ -12,7 +12,6 @@ from gaugekit.modmatrix import (
     apply_rowop,
     nonzero_column_count,
     rank_f2,
-    reduce_restricted,
     reduce_with_report,
     replay_oplog,
     rowop_orbit,
@@ -107,7 +106,7 @@ def test_matrix_validation():
 
 def test_reduce_example_2_3_mod_240():
     B = AttachingMatrix.from_rows([[2], [3]], 240)
-    R = reduce_restricted(B)
+    R, _ = reduce_with_report(B)
     assert rows(R) == [[1], [0]]
     assert replay_oplog(R) == R.entries
     # reachability confirmed by breadth-first search over the operation orbit
@@ -207,7 +206,7 @@ def test_nonzero_column_count_examples():
 
 def test_oplog_lines_round_trip():
     B = AttachingMatrix.from_rows([[2], [3]], 24)
-    R = reduce_restricted(B)
+    R, _ = reduce_with_report(B)
     lines = R.oplog_lines()
     assert [RowOp.parse(line) for line in lines] == list(R.oplog)
 
