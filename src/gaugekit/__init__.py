@@ -39,7 +39,6 @@ from .spaces import (
     normalize,
 )
 from .render import render, render_latex, render_text
-from .parser import ParseError, parse
 from .manifolds import (
     GeneralComplex,
     N2Manifold,
@@ -64,3 +63,20 @@ from .decompose import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY = ("parse", "ParseError")
+
+
+def __getattr__(name: str):
+    """`parse` and `ParseError` load the expression parser on first use, so
+    the CLI, which never parses an expression, does not import it."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import parser
+
+    value = globals()[name] = getattr(parser, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

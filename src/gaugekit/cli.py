@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
 
 from .decompose import DecompositionError, decompose
 from .jobfile import SchemaError, parse_job_file, parse_primes
 from .manifolds import GeneralComplex
-from .modmatrix import reduce_with_report, rowop_orbit
+from .modmatrix import RowOp, reduce_with_report, rowop_orbit
 from .render import render
 from .tables import HypothesisNotMetError, NotTabulatedError, default_tables
 
@@ -51,7 +50,7 @@ def _trace_lines(job) -> Iterator[str]:
     # one unit operation a line: `add a b k` is printed as k lines `add a b`
     yield f"trace: {sum(op.k for op in reduced.oplog)} row operations"
     for op in reduced.oplog:
-        unit = f"  {replace(op, k=1)}"
+        unit = f"  {RowOp(op.kind, op.a, op.b)}"
         for _ in range(op.k):
             yield unit
     yield f"trace: diagonal {list(report.pivots)}"

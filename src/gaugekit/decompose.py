@@ -8,7 +8,6 @@ failures surface as typed errors, never as guesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .exact import CyclicElem, is_prime, subgroup_generator
@@ -32,6 +31,7 @@ from .spaces import (
 )
 from .groups import Z
 from .tables import NotTabulatedError, Tables, default_tables
+from .value import Value, set_field
 
 __all__ = [
     "DecompositionError",
@@ -66,16 +66,30 @@ class CaseInapplicableError(DecompositionError):
     pass
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Value):
     """A suspension splitting together with the matching gauge-group product,
     the rule that produced them, and the localization applied."""
 
+    __slots__ = ("suspension", "gauge", "theorem_used", "localized_away", "base_space")
     suspension: SpaceExpr
     gauge: SpaceExpr
     theorem_used: str
-    localized_away: frozenset[int] = frozenset()
-    base_space: SpaceExpr | None = None
+    localized_away: frozenset[int]
+    base_space: SpaceExpr | None
+
+    def __init__(
+        self,
+        suspension: SpaceExpr,
+        gauge: SpaceExpr,
+        theorem_used: str,
+        localized_away: frozenset[int] = frozenset(),
+        base_space: SpaceExpr | None = None,
+    ) -> None:
+        set_field(self, "suspension", suspension)
+        set_field(self, "gauge", gauge)
+        set_field(self, "theorem_used", theorem_used)
+        set_field(self, "localized_away", localized_away)
+        set_field(self, "base_space", base_space)
 
     def gauge_factors(self) -> tuple[SpaceExpr, ...]:
         if isinstance(self.gauge, Product):
@@ -433,9 +447,6 @@ def decompose(
     away = _away(localize_away)
     if not away:
         return d
-    return replace(
-        d,
-        suspension=localize(d.suspension, away),
-        gauge=localize(d.gauge, away),
-        localized_away=away,
+    return Decomposition(
+        localize(d.suspension, away), localize(d.gauge, away), d.theorem_used, away, d.base_space
     )

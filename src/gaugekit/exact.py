@@ -12,11 +12,12 @@ no floating point anywhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd
 from typing import Iterable
+
+from .value import Value, set_field
 
 __all__ = [
     "CyclicElem",
@@ -30,18 +31,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CyclicElem:
+class CyclicElem(Value):
     """A residue in Z/modulus (modulus >= 1), stored as its canonical
     representative in [0, modulus)."""
 
+    __slots__ = ("value", "modulus")
     value: int
     modulus: int
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
+    def __init__(self, value: int, modulus: int) -> None:
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        set_field(self, "value", value % modulus)
+        set_field(self, "modulus", modulus)
 
     def is_zero(self) -> bool:
         return self.value == 0

@@ -7,32 +7,34 @@ canonical form is unique, so equality is structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
 from .exact import prime_to_part
+from .value import Value, set_field
 
 __all__ = ["FGAbelianGroup", "TRIVIAL", "Z"]
 
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+class FGAbelianGroup(Value):
+    __slots__ = ("free_rank", "torsion")
+    free_rank: int
+    torsion: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()) -> None:
+        if free_rank < 0:
             raise ValueError("free rank must be >= 0")
         prev = 1
-        for t in self.torsion:
+        for t in torsion:
             if t < 2:
                 raise ValueError("torsion coefficients must be >= 2")
             if t % prev != 0:
                 raise ValueError(
-                    f"torsion coefficients must form a divisibility chain, got {self.torsion}"
+                    f"torsion coefficients must form a divisibility chain, got {torsion}"
                 )
             prev = t
+        set_field(self, "free_rank", free_rank)
+        set_field(self, "torsion", torsion)
 
     @classmethod
     def of(cls, free_rank: int = 0, torsion: Iterable[int] = ()) -> "FGAbelianGroup":

@@ -26,12 +26,12 @@ left over is a SchemaError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .exact import is_prime
 from .manifolds import GeneralComplex, N2Manifold, SigmaFCase, SphereBundle, WallManifold
 from .modmatrix import AttachingMatrix, F2Matrix
+from .value import Value, set_field
 
 __all__ = ["SchemaError", "Job", "parse_job_file", "parse_job_text", "parse_primes"]
 
@@ -40,13 +40,27 @@ class SchemaError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Job:
+class Job(Value):
+    __slots__ = ("kind", "spec", "group", "localize_away", "fmt")
     kind: str
     spec: WallManifold | SphereBundle | N2Manifold | GeneralComplex
     group: str
     localize_away: frozenset[int]
     fmt: str
+
+    def __init__(
+        self,
+        kind: str,
+        spec: WallManifold | SphereBundle | N2Manifold | GeneralComplex,
+        group: str,
+        localize_away: frozenset[int],
+        fmt: str,
+    ) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "spec", spec)
+        set_field(self, "group", group)
+        set_field(self, "localize_away", localize_away)
+        set_field(self, "fmt", fmt)
 
 
 _Fields = dict[str, tuple[str, list[str]]]

@@ -13,11 +13,11 @@ permitted as well).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
 from .exact import CyclicElem, gcd_mod
+from .value import Value, set_field
 
 __all__ = [
     "RowOp",
@@ -35,8 +35,7 @@ __all__ = [
 _KINDS = ("add", "swap", "negate")
 
 
-@dataclass(frozen=True)
-class RowOp:
+class RowOp(Value):
     """One restricted elementary row operation, with 1-based row indices.
 
     add(a, b, k): row a += k * row b  (a != b, k >= 1)
@@ -49,27 +48,32 @@ class RowOp:
     ``add a b k`` otherwise.
     """
 
+    __slots__ = ("kind", "a", "b", "k")
     kind: str
     a: int
-    b: int = 0
-    k: int = 1
+    b: int
+    k: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown row operation {self.kind!r}")
-        if self.a < 1:
+    def __init__(self, kind: str, a: int, b: int = 0, k: int = 1) -> None:
+        if kind not in _KINDS:
+            raise ValueError(f"unknown row operation {kind!r}")
+        if a < 1:
             raise ValueError("row indices are 1-based")
-        if self.kind in ("add", "swap"):
-            if self.b < 1:
+        if kind in ("add", "swap"):
+            if b < 1:
                 raise ValueError("row indices are 1-based")
-            if self.a == self.b:
-                raise ValueError(f"{self.kind} requires two distinct rows")
-        elif self.b != 0:
+            if a == b:
+                raise ValueError(f"{kind} requires two distinct rows")
+        elif b != 0:
             raise ValueError("negate takes a single row index")
-        if self.k < 1:
+        if k < 1:
             raise ValueError("an add multiplicity must be >= 1")
-        if self.k != 1 and self.kind != "add":
-            raise ValueError(f"{self.kind} takes no multiplicity")
+        if k != 1 and kind != "add":
+            raise ValueError(f"{kind} takes no multiplicity")
+        set_field(self, "kind", kind)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "k", k)
 
     @classmethod
     def add(cls, a: int, b: int, k: int = 1) -> "RowOp":
@@ -115,37 +119,44 @@ def _apply_inplace(rows: list[list[int]], moduli: Sequence[int], op: RowOp) -> N
         rows[a] = [(-x) % d for x, d in zip(rows[a], moduli)]
 
 
-@dataclass(frozen=True)
-class AttachingMatrix:
+class AttachingMatrix(Value):
     """An m x r matrix whose column j is valued in Z/moduli[j], together with
     the log of row operations that produced it from the recorded initial
     matrix.  Immutable; operations return new matrices."""
 
+    __slots__ = ("moduli", "entries", "oplog", "initial")
     moduli: tuple[int, ...]
     entries: tuple[tuple[int, ...], ...]
-    oplog: tuple[RowOp, ...] = ()
-    initial: tuple[tuple[int, ...], ...] | None = None
+    oplog: tuple[RowOp, ...]
+    initial: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if not self.entries:
+    def __init__(
+        self,
+        moduli: tuple[int, ...],
+        entries: tuple[tuple[int, ...], ...],
+        oplog: tuple[RowOp, ...] = (),
+        initial: tuple[tuple[int, ...], ...] | None = None,
+    ) -> None:
+        if not entries:
             raise ValueError("matrix needs at least one row")
-        r = len(self.moduli)
-        for d in self.moduli:
+        r = len(moduli)
+        for d in moduli:
             if d <= 0:
                 raise ValueError("column moduli must be positive")
-        for lo, hi in zip(self.moduli, self.moduli[1:]):
+        for lo, hi in zip(moduli, moduli[1:]):
             if hi % lo != 0:
-                raise ValueError(f"moduli must form a divisibility chain, got {list(self.moduli)}")
+                raise ValueError(f"moduli must form a divisibility chain, got {list(moduli)}")
         norm = tuple(
-            tuple(v % d for v, d in zip(row, self.moduli))
-            for row in self.entries
+            tuple(v % d for v, d in zip(row, moduli))
+            for row in entries
         )
-        for row in self.entries:
+        for row in entries:
             if len(row) != r:
                 raise ValueError("row length must match the number of moduli")
-        object.__setattr__(self, "entries", norm)
-        if self.initial is None:
-            object.__setattr__(self, "initial", norm)
+        set_field(self, "moduli", moduli)
+        set_field(self, "entries", norm)
+        set_field(self, "oplog", oplog)
+        set_field(self, "initial", norm if initial is None else initial)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], moduli: int | Sequence[int]) -> "AttachingMatrix":
@@ -200,13 +211,17 @@ def replay_oplog(B: AttachingMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(Value):
     """Diagnostics from a restricted reduction: attained diagonal entries and
     any discrepancies against the full-column gcd values."""
 
+    __slots__ = ("pivots", "notes")
     pivots: tuple[int, ...]
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
+
+    def __init__(self, pivots: tuple[int, ...], notes: tuple[str, ...] = ()) -> None:
+        set_field(self, "pivots", pivots)
+        set_field(self, "notes", notes)
 
 
 def reduce_with_report(B: AttachingMatrix) -> tuple[AttachingMatrix, ReductionReport]:
@@ -354,20 +369,21 @@ def rowop_orbit(
     return frozenset(seen)
 
 
-@dataclass(frozen=True)
-class F2Matrix:
+class F2Matrix(Value):
     """A square matrix of bits."""
 
+    __slots__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.rows)
-        for row in self.rows:
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        n = len(rows)
+        for row in rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
             for bit in row:
                 if bit not in (0, 1):
                     raise ValueError(f"entries must be bits, got {bit}")
+        set_field(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "F2Matrix":

@@ -18,9 +18,8 @@ complexes whose attaching class dies away from its primes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exact import CyclicElem, element_order, prime_to_part
+from .value import Value, set_field
 
 __all__ = [
     "SpaceExpr",
@@ -48,107 +47,140 @@ __all__ = [
 ]
 
 
-class SpaceExpr:
+class SpaceExpr(Value):
     """Base class for all space expressions."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Sphere(SpaceExpr):
+    __slots__ = ("n",)
     n: int
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int):
+        if n < 0:
             raise ValueError("sphere dimension must be >= 0")
+        set_field(self, "n", n)
 
 
-@dataclass(frozen=True)
 class SuspCP2(SpaceExpr):
     """The k-fold suspension of the complex projective plane (k = 0 is the
     plane itself); cells in dimensions k+2 and k+4."""
 
+    __slots__ = ("k",)
     k: int
 
-    def __post_init__(self):
-        if self.k < 0:
+    def __init__(self, k: int):
+        if k < 0:
             raise ValueError("suspension power must be >= 0")
+        set_field(self, "k", k)
 
 
-@dataclass(frozen=True)
 class TwoCell(SpaceExpr):
     """S^bottom with a (2*bottom)-cell attached along a class recorded as a
     residue with its modulus."""
 
+    __slots__ = ("bottom", "attach")
     bottom: int
     attach: CyclicElem
+
+    def __init__(self, bottom: int, attach: CyclicElem):
+        set_field(self, "bottom", bottom)
+        set_field(self, "attach", attach)
 
     @property
     def top(self) -> int:
         return 2 * self.bottom
 
 
-@dataclass(frozen=True)
 class AttachedComplex(SpaceExpr):
     """A wedge skeleton with one top cell attached along a symbolic class
     (label None when the class is unspecified)."""
 
+    __slots__ = ("skeleton", "top", "label")
     skeleton: SpaceExpr
     top: int
-    label: str | None = None
+    label: str | None
+
+    def __init__(self, skeleton: SpaceExpr, top: int, label: str | None = None):
+        set_field(self, "skeleton", skeleton)
+        set_field(self, "top", top)
+        set_field(self, "label", label)
 
 
-@dataclass(frozen=True)
 class LieGroup(SpaceExpr):
+    __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
-@dataclass(frozen=True)
+
 class MappingSpace(SpaceExpr):
     """Based mapping space, basepoint component."""
 
+    __slots__ = ("domain", "codomain")
     domain: SpaceExpr
     codomain: SpaceExpr
 
+    def __init__(self, domain: SpaceExpr, codomain: SpaceExpr):
+        set_field(self, "domain", domain)
+        set_field(self, "codomain", codomain)
 
-@dataclass(frozen=True)
+
 class Gauge(SpaceExpr):
     """Gauge-group atom G_label(base); the structure group annotation is
     optional and omitted from the text render when absent."""
 
+    __slots__ = ("base", "label", "group")
     base: SpaceExpr
-    label: str = "k"
-    group: str | None = None
+    label: str
+    group: str | None
+
+    def __init__(self, base: SpaceExpr, label: str = "k", group: str | None = None):
+        set_field(self, "base", base)
+        set_field(self, "label", label)
+        set_field(self, "group", group)
 
 
-@dataclass(frozen=True)
 class Wedge(SpaceExpr):
+    __slots__ = ("parts",)
     parts: tuple[SpaceExpr, ...]
 
+    def __init__(self, parts: tuple[SpaceExpr, ...]):
+        set_field(self, "parts", parts)
 
-@dataclass(frozen=True)
+
 class Product(SpaceExpr):
+    __slots__ = ("parts",)
     parts: tuple[SpaceExpr, ...]
 
+    def __init__(self, parts: tuple[SpaceExpr, ...]):
+        set_field(self, "parts", parts)
 
-@dataclass(frozen=True)
+
 class Loop(SpaceExpr):
+    __slots__ = ("power", "space")
     power: int
     space: SpaceExpr
 
-    def __post_init__(self):
-        if self.power < 1:
+    def __init__(self, power: int, space: SpaceExpr):
+        if power < 1:
             raise ValueError("loop power must be >= 1")
+        set_field(self, "power", power)
+        set_field(self, "space", space)
 
 
-@dataclass(frozen=True)
 class Suspension(SpaceExpr):
+    __slots__ = ("power", "space")
     power: int
     space: SpaceExpr
 
-    def __post_init__(self):
-        if self.power < 1:
+    def __init__(self, power: int, space: SpaceExpr):
+        if power < 1:
             raise ValueError("suspension power must be >= 1")
+        set_field(self, "power", power)
+        set_field(self, "space", space)
 
 
 # --- canonical order --------------------------------------------------------

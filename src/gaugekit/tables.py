@@ -27,11 +27,11 @@ from __future__ import annotations
 import ast
 import os
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from types import CodeType
 
 from .groups import FGAbelianGroup
+from .value import Value, set_field
 
 __all__ = [
     "NotTabulatedError",
@@ -121,15 +121,37 @@ def _condition(degree_spec: str, validity: str | None, names: frozenset[str], so
     return compile(ast.Expression(test), source, "eval")
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(Value):
+    """One compiled record; the condition, compiled from the degree and
+    validity fields, is left out of equality, hashing and the repr."""
+
+    __slots__ = ("family", "params", "degree_spec", "groups", "validity", "citation", "condition")
+    _fields = __slots__[:-1]
     family: str
     params: tuple[str, ...]
     degree_spec: str
     groups: tuple[FGAbelianGroup, ...]    # more than one for a candidate set
     validity: str | None
     citation: str
-    condition: CodeType = field(repr=False, compare=False)
+    condition: CodeType
+
+    def __init__(
+        self,
+        family: str,
+        params: tuple[str, ...],
+        degree_spec: str,
+        groups: tuple[FGAbelianGroup, ...],
+        validity: str | None,
+        citation: str,
+        condition: CodeType,
+    ) -> None:
+        set_field(self, "family", family)
+        set_field(self, "params", params)
+        set_field(self, "degree_spec", degree_spec)
+        set_field(self, "groups", groups)
+        set_field(self, "validity", validity)
+        set_field(self, "citation", citation)
+        set_field(self, "condition", condition)
 
     def matches(self, params: dict[str, int], degree: int) -> bool:
         return bool(eval(self.condition, {"__builtins__": {}}, {**params, "q": degree}))
@@ -192,10 +214,14 @@ def parse_space(space: str) -> tuple[str, dict[str, int]]:
     return space, {}
 
 
-@dataclass(frozen=True)
-class GroupQueryResult:
+class GroupQueryResult(Value):
+    __slots__ = ("group", "source")
     group: FGAbelianGroup
     source: str
+
+    def __init__(self, group: FGAbelianGroup, source: str) -> None:
+        set_field(self, "group", group)
+        set_field(self, "source", source)
 
 
 class Tables:

@@ -22,7 +22,6 @@ import re
 import subprocess
 import sys
 from collections import deque
-from dataclasses import fields, replace
 from fractions import Fraction
 from math import factorial, gcd
 from pathlib import Path
@@ -633,7 +632,8 @@ def two_cell_splits(order: int, primes: Iterable[int]) -> bool:
 def split_two_cells(e, primes: Iterable[int]):
     """The tree with every two-cell complex that `two_cell_splits` away from
     the primes replaced by the (raw) wedge of its cells; other nodes are
-    copied field by field."""
+    rebuilt from their fields, which `Value._fields` lists in constructor
+    order."""
     from gaugekit.spaces import Sphere, SpaceExpr, TwoCell, Wedge
 
     primes = set(primes)
@@ -642,14 +642,15 @@ def split_two_cells(e, primes: Iterable[int]):
         if two_cell_splits(order, primes):
             return Wedge((Sphere(e.bottom), Sphere(e.top)))
         return e
-    changes = {}
-    for f in fields(e):
-        value = getattr(e, f.name)
+    values = []
+    for name in e._fields:
+        value = getattr(e, name)
         if isinstance(value, SpaceExpr):
-            changes[f.name] = split_two_cells(value, primes)
+            value = split_two_cells(value, primes)
         elif isinstance(value, tuple):
-            changes[f.name] = tuple(split_two_cells(x, primes) for x in value)
-    return replace(e, **changes)
+            value = tuple(split_two_cells(x, primes) for x in value)
+        values.append(value)
+    return type(e)(*values)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

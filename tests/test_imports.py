@@ -1,8 +1,15 @@
 """Every name a module of the package imports is used there (a stdlib
-stand-in for a linter's unused-import check)."""
+stand-in for a linter's unused-import check), no module imports
+`dataclasses`, and importing the CLI loads neither `dataclasses`,
+`inspect` nor the expression parser."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gaugekit"
 
@@ -84,3 +91,63 @@ def test_unread_private_name_check_sees_each_kind():
 def test_package_defines_no_unread_private_name():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def imports_of(source: str, module: str) -> list[str]:
+    """The import statements, by line, that load `module` or a submodule."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name == module or name.startswith(module + ".") for name in names):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_import_check_sees_each_form():
+    source = "import os\nimport dataclasses as dc\nfrom dataclasses import field\nfrom . import dataclasses\n"
+    assert imports_of(source, "dataclasses") == [
+        "line 2: import dataclasses as dc", "line 3: from dataclasses import field"
+    ]
+
+
+def test_package_does_not_import_dataclasses():
+    # the value classes are written out by hand (see value.py): generating
+    # their methods at import time costs every CLI call
+    found = {
+        p.name: imports_of(p.read_text(encoding="utf-8"), "dataclasses")
+        for p in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_parser():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import gaugekit.cli\n"
+        "heavy = ('dataclasses', 'inspect', 'gaugekit.parser')\n"
+        "print(' '.join(m for m in heavy if m in set(sys.modules) - before))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [], f"import gaugekit.cli loads {done.stdout.strip()}"
+
+
+def test_parse_resolves_on_first_use():
+    import gaugekit
+    import gaugekit.parser
+    from gaugekit import ParseError, parse
+
+    assert parse is gaugekit.parser.parse and ParseError is gaugekit.parser.ParseError
+    assert {"parse", "ParseError", "decompose"} <= set(dir(gaugekit))
+    assert callable(gaugekit.decompose)  # the function, not the submodule
+    with pytest.raises(AttributeError, match="not_a_name"):
+        gaugekit.not_a_name
