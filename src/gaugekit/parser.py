@@ -16,9 +16,12 @@ MAX_DEPTH levels deep: each prefix operand, parenthesis, and "Map*(" or
 "G_...(" argument is one level.  The parser builds bottom-up through the
 smart constructors, so every argument it passes is already canonical and so
 is the result: parse(render_text(e)) == e for every canonical expression e
-whose text nests at most MAX_DEPTH levels.  An attached complex under a
-prefix renders parenthesized, so its text nests one level deeper than its
-tree.
+whose text nests at most MAX_DEPTH levels and whose names and labels the
+tokens read back: a group name NAME or NAME(INT), NAME a word that no other
+token claims; a gauge label an ASCII letter, then word characters; a cell
+label without "]" (see README, "Expression grammar").  An attached complex
+under a prefix renders parenthesized, so its text nests one level deeper
+than its tree.
 """
 
 from __future__ import annotations
@@ -53,161 +56,191 @@ class ParseError(ValueError):
     pass
 
 
+# One token after optional whitespace.  The group is optional, so a match
+# never fails: it finds no token at the end of the text and at a character
+# no token starts with.  Words the grammar reserves (x, v, u, mod, TC) match
+# as words, like group names; an earlier alternative wins where two overlap.
 _TOKEN = re.compile(
-    r"""
-    (?P<WS>\s+)
-  | (?P<SPHERE>S\^\d+)
-  | (?P<SCP2>SCP2\^\d+)
-  | (?P<CP2>CP\^2)
-  | (?P<OMEGA>Omega\^\d+)
-  | (?P<SIGMA>Sigma\^\d+)
-  | (?P<ECELL>e\^\d+)
-  | (?P<GAUGE>G_[A-Za-z]\w*)
-  | (?P<MAPSTAR>Map\*)
-  | (?P<TC>TC(?!\w))
-  | (?P<MOD>mod(?!\w))
-  | (?P<X>x(?!\w))
-  | (?P<V>v(?!\w))
-  | (?P<U>u(?!\w))
-  | (?P<LABEL>\[[^\]]*\])
-  | (?P<NAME>[A-Za-z]\w*)
-  | (?P<INT>\d+)
-  | (?P<LPAREN>\()
-  | (?P<RPAREN>\))
-  | (?P<SEMI>;)
-  | (?P<COMMA>,)
-    """,
+    r"""\s*(
+        S\^\d+ | SCP2\^\d+ | CP\^2 | Omega\^\d+ | Sigma\^\d+ | e\^\d+
+      | G_[A-Za-z]\w* | Map\* | [A-Za-z]\w* | \[[^\]]*\] | \d+ | [(),;]
+    )?""",
     re.VERBOSE,
+)
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+
+# Kind names, which only ParseError messages use: whole tokens, then prefixes.
+_KIND_OF_TOKEN = {
+    "(": "LPAREN", ")": "RPAREN", ";": "SEMI", ",": "COMMA",
+    "x": "X", "v": "V", "u": "U", "mod": "MOD", "TC": "TC", "Map*": "MAPSTAR", "CP^2": "CP2",
+}
+_KIND_OF_PREFIX = (
+    ("S^", "SPHERE"), ("SCP2^", "SCP2"), ("Omega^", "OMEGA"), ("Sigma^", "SIGMA"),
+    ("e^", "ECELL"), ("[", "LABEL"), ("G_", "GAUGE"),
 )
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
+def _tokenize(text: str) -> list[str]:
+    match = _TOKEN.match
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-        pos = m.end()
-        kind = m.lastgroup
-        if kind != "WS":
-            tokens.append((kind, m.group()))
+    m = match(text)
+    while (token := m[1]) is not None:
+        tokens.append(token)
+        m = match(text, m.end())
+    pos = m.end()
+    if pos < len(text):
+        raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
     return tokens
 
 
+def _is_gauge(token: str) -> bool:
+    return token[2:3] in _LETTERS and token.startswith("G_")
+
+
+def _is_name(token: str) -> bool:
+    """A word no other kind claims: a group name."""
+    return (
+        token[0] in _LETTERS
+        and "^" not in token
+        and token not in _KIND_OF_TOKEN
+        and not _is_gauge(token)
+    )
+
+
+def _kind(token: str) -> str:
+    if _is_name(token):
+        return "NAME"
+    if token in _KIND_OF_TOKEN:
+        return _KIND_OF_TOKEN[token]
+    for prefix, kind in _KIND_OF_PREFIX:
+        if token.startswith(prefix):
+            return kind
+    return "INT"
+
+
+def _mismatch(expected: str, token: str) -> ParseError:
+    return ParseError(f"expected {expected}, got {_kind(token)} {token!r}")
+
+
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]]):
-        self.tokens = tokens
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens + [""]  # "" marks the end of the input
         self.pos = 0
         self.depth = 0  # factors open around the one being parsed
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def next(self) -> tuple[str, str]:
-        if self.pos >= len(self.tokens):
+    def next(self) -> str:
+        token = self.tokens[self.pos]
+        if not token:
             raise ParseError("unexpected end of input")
-        tok = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return token
 
-    def expect(self, kind: str) -> str:
-        k, v = self.next()
-        if k != kind:
-            raise ParseError(f"expected {kind}, got {k} {v!r}")
-        return v
+    def expect(self, want: str) -> None:
+        token = self.next()
+        if token != want:
+            raise _mismatch(_kind(want), token)
+
+    def expect_int(self) -> str:
+        token = self.next()
+        if not token.isdecimal():
+            raise _mismatch("INT", token)
+        return token
 
     def parse_expr(self) -> SpaceExpr:
         first = self.parse_factor()
-        op = self.peek()
-        if op not in ("X", "V"):
+        op = self.tokens[self.pos]
+        if op != "x" and op != "v":
             return first
         parts = [first]
-        while self.peek() == op:
-            self.next()
+        while self.tokens[self.pos] == op:
+            self.pos += 1
             parts.append(self.parse_factor())
-        if self.peek() in ("X", "V"):
+        if self.tokens[self.pos] in ("x", "v"):
             raise ParseError("cannot mix x and v without parentheses")
-        return product(*parts) if op == "X" else wedge(*parts)
+        return product(*parts) if op == "x" else wedge(*parts)
 
     def parse_factor(self) -> SpaceExpr:
         if self.depth > MAX_DEPTH:
             raise ParseError("expression nested too deeply")
         self.depth += 1
-        kind = self.peek()
-        if kind in ("OMEGA", "SIGMA"):
-            prefix = self.next()[1]
-            power = int(prefix.split("^")[1])
+        token = self.tokens[self.pos]
+        if token.startswith(("Omega^", "Sigma^")):
+            self.pos += 1
+            power = int(token[6:])
             if power < 1:
-                raise ParseError(f"{prefix} needs a power >= 1")
-            build = loop if kind == "OMEGA" else suspension
+                raise ParseError(f"{token} needs a power >= 1")
+            build = loop if token[0] == "O" else suspension
             expr = build(power, self.parse_factor())
         else:
             expr = self.parse_primary()
-            if self.peek() == "U":
-                self.next()
+            if self.tokens[self.pos] == "u":
+                self.pos += 1
                 label = None
-                if self.peek() == "LABEL":
-                    label = self.next()[1][1:-1]
-                top = int(self.expect("ECELL").split("^")[1])
-                expr = attached(expr, top, label)
+                if self.tokens[self.pos].startswith("["):
+                    label = self.next()[1:-1]
+                top = self.next()
+                if not top.startswith("e^"):
+                    raise _mismatch("ECELL", top)
+                expr = attached(expr, int(top[2:]), label)
         self.depth -= 1
         return expr
 
     def parse_primary(self) -> SpaceExpr:
-        kind, value = self.next()
-        if kind == "SPHERE":
-            return Sphere(int(value.split("^")[1]))
-        if kind == "SCP2":
-            return SuspCP2(int(value.split("^")[1]))
-        if kind == "CP2":
-            return SuspCP2(0)
-        if kind == "TC":
-            self.expect("LPAREN")
-            bottom = int(self.expect("INT"))
-            self.expect("COMMA")
-            top = int(self.expect("INT"))
-            self.expect("SEMI")
-            residue = int(self.expect("INT"))
-            self.expect("MOD")
-            modulus = int(self.expect("INT"))
-            self.expect("RPAREN")
+        token = self.next()
+        if token.startswith("S^"):
+            return Sphere(int(token[2:]))
+        if _is_name(token):
+            return LieGroup(self.parse_lie_suffix(token))
+        if token == "(":
+            inner = self.parse_expr()
+            self.expect(")")
+            return inner
+        if _is_gauge(token):
+            self.expect("(")
+            base = self.parse_expr()
+            group = None
+            if self.tokens[self.pos] == ";":
+                self.pos += 1
+                group = self.parse_group_name()
+            self.expect(")")
+            return gauge(base, token[2:], group)
+        if token == "Map*":
+            self.expect("(")
+            domain = self.parse_expr()
+            self.expect(",")
+            codomain = self.parse_expr()
+            self.expect(")")
+            return MappingSpace(domain, codomain)
+        if token == "TC":
+            self.expect("(")
+            bottom = int(self.expect_int())
+            self.expect(",")
+            top = int(self.expect_int())
+            self.expect(";")
+            residue = int(self.expect_int())
+            self.expect("mod")
+            modulus = int(self.expect_int())
+            self.expect(")")
             if top != 2 * bottom:
                 raise ParseError(f"two-cell complex must be TC(n,2n;...), got TC({bottom},{top};...)")
             return two_cell(bottom, CyclicElem(residue, modulus))
-        if kind == "MAPSTAR":
-            self.expect("LPAREN")
-            domain = self.parse_expr()
-            self.expect("COMMA")
-            codomain = self.parse_expr()
-            self.expect("RPAREN")
-            return MappingSpace(domain, codomain)
-        if kind == "GAUGE":
-            label = value[2:]
-            self.expect("LPAREN")
-            base = self.parse_expr()
-            group = None
-            if self.peek() == "SEMI":
-                self.next()
-                group = self.parse_group_name()
-            self.expect("RPAREN")
-            return gauge(base, label, group)
-        if kind == "LPAREN":
-            inner = self.parse_expr()
-            self.expect("RPAREN")
-            return inner
-        if kind == "NAME":
-            return LieGroup(self.parse_lie_suffix(value))
-        raise ParseError(f"unexpected token {kind} {value!r}")
+        if token.startswith("SCP2^"):
+            return SuspCP2(int(token[5:]))
+        if token == "CP^2":
+            return SuspCP2(0)
+        raise ParseError(f"unexpected token {_kind(token)} {token!r}")
 
     def parse_group_name(self) -> str:
-        return self.parse_lie_suffix(self.expect("NAME"))
+        name = self.next()
+        if not _is_name(name):
+            raise _mismatch("NAME", name)
+        return self.parse_lie_suffix(name)
 
     def parse_lie_suffix(self, name: str) -> str:
-        if self.peek() == "LPAREN":
-            self.next()
-            rank = self.expect("INT")
-            self.expect("RPAREN")
+        if self.tokens[self.pos] == "(":
+            self.pos += 1
+            rank = self.expect_int()
+            self.expect(")")
             return f"{name}({rank})"
         return name
 
@@ -221,7 +254,7 @@ def parse(text: str) -> SpaceExpr:
         expr = parser.parse_expr()
     except ValueError as exc:  # a node constructor's rejection, or a ParseError
         raise ParseError(str(exc)) from None
-    if parser.pos != len(parser.tokens):
-        kind, value = parser.tokens[parser.pos]
-        raise ParseError(f"trailing input at token {kind} {value!r}")
+    token = parser.tokens[parser.pos]
+    if token:
+        raise ParseError(f"trailing input at token {_kind(token)} {token!r}")
     return expr

@@ -6,8 +6,9 @@ closures, row-operation orbit enumeration (also by list-copying search),
 the restricted reduction with unit row additions only,
 mod-2 rank by row-space counting, the per-query tree-walking evaluator
 for table records, the factoring forms of invariant factors, localization
-and primality, and a helper that runs a statement in a fresh interpreter
-under a timeout.
+and primality, the expression tokenizer with one named group per token
+kind, and a helper that runs a statement in a fresh interpreter under a
+timeout.
 
 Nothing here calls the engine's own code paths for the quantity it checks.
 """
@@ -458,6 +459,166 @@ def denormalize(rng: random.Random, expr):
         return e
 
     return vary(expr)
+
+
+# --- the expression tokenizer: the named-group regex it replaced -------------
+
+_TOKEN = re.compile(
+    r"""
+    (?P<WS>\s+)
+  | (?P<SPHERE>S\^\d+)
+  | (?P<SCP2>SCP2\^\d+)
+  | (?P<CP2>CP\^2)
+  | (?P<OMEGA>Omega\^\d+)
+  | (?P<SIGMA>Sigma\^\d+)
+  | (?P<ECELL>e\^\d+)
+  | (?P<GAUGE>G_[A-Za-z]\w*)
+  | (?P<MAPSTAR>Map\*)
+  | (?P<TC>TC(?!\w))
+  | (?P<MOD>mod(?!\w))
+  | (?P<X>x(?!\w))
+  | (?P<V>v(?!\w))
+  | (?P<U>u(?!\w))
+  | (?P<LABEL>\[[^\]]*\])
+  | (?P<NAME>[A-Za-z]\w*)
+  | (?P<INT>\d+)
+  | (?P<LPAREN>\()
+  | (?P<RPAREN>\))
+  | (?P<SEMI>;)
+  | (?P<COMMA>,)
+    """,
+    re.VERBOSE,
+)
+
+
+def regex_tokenize(text: str) -> list[tuple[str, str]]:
+    """(kind, text) of each token, one named group per kind and one match
+    per token or whitespace run; raises ParseError at the first character
+    that starts no token."""
+    from gaugekit.parser import ParseError
+
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
+        pos = m.end()
+        kind = m.lastgroup
+        if kind != "WS":
+            tokens.append((kind, m.group()))
+    return tokens
+
+
+# Characters and words a mutation inserts: whitespace the renderer never
+# writes (tab, newline, no-break space), non-ASCII letters, digits and
+# symbols, and words that come close to a token without being one.
+_MUTATION_CHARS = "\t\n \u00a0\u00e9\u2295\u0663\u00b2([]);,*^_xvuSeG07"
+_MUTATION_WORDS = ("G_1", "TC1", "xy", "S^5a", "mod", "Map", "e^3", "u[f]", "Omega^0")
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """`text` with one seeded corruption: a character deleted, inserted or
+    duplicated, spaces turned into tabs or newlines, a `[` left unclosed,
+    or a near-token word inserted."""
+    i = rng.randrange(len(text) + 1)
+    j = min(i, len(text) - 1)
+    pick = rng.randrange(6)
+    if pick == 0 and text:
+        return text[:j] + text[j + 1 :]
+    if pick == 1:
+        return text[:i] + rng.choice(_MUTATION_CHARS) + text[i:]
+    if pick == 2 and text:
+        return text[: j + 1] + text[j:]
+    if pick == 3:
+        return text.replace(" ", rng.choice(("\t", "\n", " \n\t")), rng.randint(1, 3))
+    if pick == 4:
+        return text[:i] + "[" + text[i:].replace("]", "")
+    return text[:i] + rng.choice((" ", "")) + rng.choice(_MUTATION_WORDS) + text[i:]
+
+
+def mutated_renders(seed: int, count: int) -> list[str]:
+    """`count` seeded texts, each the render of a random canonical
+    expression with one or two mutations."""
+    from gaugekit.render import render_text
+    from gaugekit.spaces import normalize
+
+    rng = random.Random(seed)
+    texts = []
+    for _ in range(count):
+        text = render_text(normalize(random_expr(rng, depth=rng.randint(0, 3))))
+        for _ in range(rng.randint(1, 2)):
+            text = mutate(rng, text)
+        texts.append(text)
+    return texts
+
+
+# Texts whose parse fails, one or more for each ParseError message form and
+# for each token kind a message can name.
+PARSE_ERROR_TEXTS = (
+    "S^5 x S^6 v S^7",
+    "S^5 x",
+    "TC(5,11;1 mod 2)",
+    "",
+    "S^5 ⊕ S^6",
+    "Sigma^0 S^3",
+    "Sigma^0 E8",
+    "Omega^0 E8",
+    "TC(3,6;1 mod 0)",
+    "Omega^1 " * 3000 + "S^3",
+    "(" * 3000 + "S^3" + ")" * 3000,
+    "TC(S^2",
+    "S^5 u e^3 u",
+    "S^5 u[f] S^3",
+    "G_k(S^3; G_k)",
+    "G_k(S^3; E7(x))",
+    "Map*(S^3; E7)",
+    "TC(3,6,1 mod 2)",
+    "TC(3,6;1 md 2)",
+    ")",
+    "x",
+    "mod",
+    "e^4",
+    "[f]",
+    "12",
+    "S^3 SCP2^1",
+    "S^3 CP^2",
+    "S^3 Omega^2 E6",
+    "S^3 Sigma^2 E6",
+    "S^3 TC",
+    "S^3 Map*",
+    "S^3 G_k",
+    "S^3 E7",
+    "S^3 (",
+    "S^3 ;",
+    "S^3 ,",
+    "S^3 v",
+    "S^3\t\n ",
+    "S^3  !",
+    "G_1",
+    "TC1 x xy",
+    "S^5a",
+    "S^5 u[f e^12",
+)
+
+
+def parse_error_fixture_lines(seed: int, count: int) -> list[str]:
+    """The lines of tests/golden/parse_errors.txt: for each of
+    PARSE_ERROR_TEXTS and then `count` seeded mutated renders, the text
+    render of what `parse` returns or `ParseError: <message>`, with
+    backslashes, control characters and non-ASCII characters escaped, so
+    that the file is ASCII with one line per input."""
+    from gaugekit.parser import ParseError, parse
+    from gaugekit.render import render_text
+
+    lines = []
+    for text in PARSE_ERROR_TEXTS + tuple(mutated_renders(seed, count)):
+        try:
+            outcome = render_text(parse(text))
+        except ParseError as exc:
+            outcome = f"ParseError: {exc}"
+        lines.append(outcome.encode("unicode_escape").decode("ascii"))
+    return lines
 
 
 _FIXTURE_PRIMES = ((2,), (3,), (2, 3), (2, 3, 5))

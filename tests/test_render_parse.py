@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from gaugekit.exact import CyclicElem
-from gaugekit.parser import MAX_DEPTH, ParseError, parse
+from gaugekit.parser import MAX_DEPTH, ParseError, _kind, _tokenize, parse
 from gaugekit.render import render, render_latex, render_text
 from gaugekit.spaces import (
     AttachedComplex,
@@ -27,7 +27,16 @@ from gaugekit.spaces import (
     wedge,
 )
 
-from support import expression_fixture_lines, random_expr
+from support import (
+    expression_fixture_lines,
+    mutated_renders,
+    parse_error_fixture_lines,
+    random_expr,
+    regex_tokenize,
+    seconds_in_fresh_interpreter,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_render_contract_examples():
@@ -60,9 +69,65 @@ def test_more_latex_forms():
 
 
 def test_renders_of_seeded_trees_match_golden():
-    golden = Path(__file__).parent / "golden" / "expressions.txt"
-    expected = golden.read_text(encoding="utf-8").splitlines()
+    expected = (GOLDEN / "expressions.txt").read_text(encoding="utf-8").splitlines()
     assert expression_fixture_lines(8, 60) == expected
+
+
+def _golden_renders() -> list[str]:
+    """The text and LaTeX renders in expressions.txt, without their tags."""
+    renders = []
+    for line in (GOLDEN / "expressions.txt").read_text(encoding="utf-8").splitlines():
+        _, tag, rest = line.split(" ", 2)
+        renders.append(rest.split(" ", 1)[1] if tag == "away" else rest)
+    return renders
+
+
+def test_tokenizer_agrees_with_the_named_group_oracle():
+    rng = random.Random(5)
+    texts = _golden_renders()
+    texts += [render_text(normalize(random_expr(rng, depth=3))) for _ in range(400)]
+    texts += mutated_renders(2024, 2400)
+    failures = 0
+    for text in texts:
+        try:
+            want = regex_tokenize(text)
+        except ParseError as exc:
+            failures += 1
+            with pytest.raises(ParseError) as info:
+                _tokenize(text)
+            assert str(info.value) == str(exc), text
+            continue
+        got = _tokenize(text)
+        assert got == [token for _, token in want], text
+        assert [_kind(token) for token in got] == [kind for kind, _ in want], text
+    assert min(failures, len(texts) - failures) > 1000  # both outcomes are well sampled
+
+
+def test_parse_error_messages_match_golden():
+    expected = (GOLDEN / "parse_errors.txt").read_bytes()
+    assert ("\n".join(parse_error_fixture_lines(13, 300)) + "\n").encode("ascii") == expected
+
+
+# Hostile texts, as Python expressions: each is parsed in a fresh interpreter.
+HOSTILE = {
+    "unclosed labels": '"[" * 200_000',
+    "long name then junk": '"a" + "1" * 200_000 + "!"',
+    "unclosed label after a cup": '"S^5 u[" + "x" * 200_000',
+    "long whitespace then junk": '" " * 200_000 + "!"',
+    "long gauge label": '"G_" + "k" * 200_000 + "("',
+    "flat wedge": '"S^2 v " * 20_000 + "S^3"',
+}
+
+
+@pytest.mark.parametrize("name", list(HOSTILE))
+def test_hostile_text_parses_or_fails_promptly(name):
+    statement = (
+        "try:\n"
+        f"    gaugekit.parse({HOSTILE[name]})\n"
+        "except gaugekit.ParseError:\n"
+        "    pass"
+    )
+    assert seconds_in_fresh_interpreter(statement) < 2.0
 
 
 def test_text_round_trip_on_fixed_corpus():
@@ -102,6 +167,22 @@ def test_round_trip_survives_localization():
     for _ in range(100):
         e = localize(random_expr(rng, depth=3), {2})
         assert parse(render_text(e)) == e
+
+
+def test_round_trip_needs_names_and_labels_in_the_token_grammar():
+    # a group name NAME(INT) re-parses without the space it was given
+    assert render_text(LieGroup("Sp( 3)")) == "Sp( 3)"
+    assert parse("Sp( 3)") == LieGroup("Sp(3)")
+    # names and labels outside the token grammar render text parse rejects
+    for e in (
+        attached(Sphere(5), 12, "a]b"),
+        gauge(Sphere(2), "k x"),
+        LieGroup("mod"),
+        LieGroup("G_k"),
+        gauge(Sphere(2), "1"),
+    ):
+        with pytest.raises(ParseError):
+            parse(render_text(e))
 
 
 def test_parse_errors():
