@@ -66,8 +66,12 @@ class FGAbelianGroup(Value):
         return self.free_rank == 0 and not self.torsion
 
     def localized_away(self, primes: Iterable[int]) -> "FGAbelianGroup":
-        """Invert the given primes: kills the torsion supported on them."""
+        """Invert the given primes: kills the torsion supported on them.
+        With no primes, or no torsion, nothing changes and the group itself
+        is returned."""
         away = tuple(primes)
+        if not away or not self.torsion:
+            return self
         return FGAbelianGroup.of(self.free_rank, [prime_to_part(t, away) for t in self.torsion])
 
     def __str__(self) -> str:

@@ -1,9 +1,10 @@
 """Job files: one decomposition request per file, in a line-oriented
 ``key: value`` format with `#` comments.
 
-Common keys: ``kind`` (wall | sphere_bundle | n2 | complex), ``group``,
-``localize_away`` (primes, space- or comma-separated), ``format``
-(text | latex).  Kind-specific keys:
+Common keys: ``kind`` (wall | sphere_bundle | n2 | complex), ``group``
+(a Lie group name ``NAME`` or ``NAME(INT)`` that the expression parser
+reads back, such as E8 or Sp(3)), ``localize_away`` (primes, space- or
+comma-separated), ``format`` (text | latex).  Kind-specific keys:
 
   wall           n, m, chi (m residues, already reduced mod the J-image
                  order), almost_parallelizable (yes/no)
@@ -26,7 +27,8 @@ left over is a SchemaError.
 
 from __future__ import annotations
 
-from pathlib import Path
+import re
+from os import PathLike
 
 from .exact import is_prime
 from .manifolds import GeneralComplex, N2Manifold, SigmaFCase, SphereBundle, WallManifold
@@ -64,6 +66,10 @@ class Job(Value):
 
 
 _Fields = dict[str, tuple[str, list[str]]]
+# A group name as the expression parser reads one back (README, "Expression
+# grammar"): NAME or NAME(INT), NAME a word that is neither a reserved word
+# nor a gauge atom `G_` + letter.  The parser itself is not imported here.
+_GROUP = re.compile(r"(?!(?:x|v|u|mod|TC)\b|G_[A-Za-z])[A-Za-z]\w*(?:\(\d+\))?")
 _BOOLS = {"yes": True, "true": True, "no": False, "false": False}
 
 
@@ -159,6 +165,8 @@ def parse_job_text(text: str) -> Job:
     if kind not in _BUILD:
         raise SchemaError(f"kind must be one of {tuple(_BUILD)}, got {kind!r}")
     group = _get(fields, "group")
+    if _GROUP.fullmatch(group) is None:
+        raise SchemaError(f"group must be a Lie group name NAME or NAME(INT), got {group!r}")
     away = parse_primes(_get(fields, "localize_away", ""))
     fmt = _get(fields, "format", "text")
     if fmt not in ("text", "latex"):
@@ -176,10 +184,11 @@ def parse_job_text(text: str) -> Job:
     return Job(kind, spec, group, away, fmt)
 
 
-def parse_job_file(path: Path | str) -> Job:
-    path = Path(path)
+def parse_job_file(path: str | PathLike[str]) -> Job:
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        text = path.read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return parse_job_text(text)

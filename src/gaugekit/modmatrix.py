@@ -369,6 +369,9 @@ def rowop_orbit(
     return frozenset(seen)
 
 
+_BITS = frozenset((0, 1))
+
+
 class F2Matrix(Value):
     """A square matrix of bits."""
 
@@ -380,14 +383,14 @@ class F2Matrix(Value):
         for row in rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-            for bit in row:
-                if bit not in (0, 1):
-                    raise ValueError(f"entries must be bits, got {bit}")
+            if not _BITS.issuperset(row):
+                bad = next(bit for bit in row if bit not in _BITS)
+                raise ValueError(f"entries must be bits, got {bad}")
         set_field(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "F2Matrix":
-        return cls(tuple(tuple(int(b) for b in row) for row in rows))
+        return cls(tuple(tuple(map(int, row)) for row in rows))
 
     @classmethod
     def zero(cls, n: int) -> "F2Matrix":

@@ -224,14 +224,25 @@ class GroupQueryResult(Value):
         set_field(self, "source", source)
 
 
+# Most answers one Tables may keep; a full memo is cleared, so a long run
+# or a library sweep holds at most this many.
+_MEMO_CAP = 4096
+
+
 class Tables:
     """An immutable set of homotopy-group records, loaded once and indexed
-    by family; within a family the first matching record answers."""
+    by family; within a family the first matching record answers.
+
+    Each instance answers a (space, degree) query once: the record that
+    answered is kept in a per-instance memo of at most _MEMO_CAP answers,
+    so a repeated `pi` or `pi_candidates` is a dict lookup.  A query no
+    record answers is scanned and raises again every time."""
 
     def __init__(self, entries: list[TableEntry]):
         self._families: dict[str, list[TableEntry]] = {}
         for entry in entries:
             self._families.setdefault(entry.family, []).append(entry)
+        self._memo: dict[tuple[str, int], TableEntry] = {}
 
     @classmethod
     def from_dir(cls, directory: Path | str) -> "Tables":
@@ -252,10 +263,17 @@ class Tables:
         return cls(list(_records(lines, "<inline>")))
 
     def _find(self, space: str, degree: int) -> TableEntry:
+        key = (space, degree)
+        entry = self._memo.get(key)
+        if entry is not None:
+            return entry
         family, params = parse_space(space)
         for entry in self._families.get(family, ()):
             try:
                 if all(p in params for p in entry.params) and entry.matches(params, degree):
+                    if len(self._memo) >= _MEMO_CAP:
+                        self._memo.clear()
+                    self._memo[key] = entry
                     return entry
             except ZeroDivisionError:
                 raise NotTabulatedError(

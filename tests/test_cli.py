@@ -1,10 +1,14 @@
+import random
 from pathlib import Path
 
 import pytest
 
 from gaugekit.cli import main
+from gaugekit.jobfile import SchemaError, parse_job_file, parse_job_text
 from gaugekit.manifolds import WallManifold, chi_modulus
 from gaugekit.modmatrix import AttachingMatrix, F2Matrix
+from gaugekit.parser import ParseError, parse
+from gaugekit.spaces import LieGroup
 
 from support import seconds_in_fresh_interpreter
 
@@ -204,8 +208,13 @@ def test_unknown_kind_exits_4(tmp_path, capsys):
 
 
 def test_missing_file_exits_4(tmp_path, capsys):
-    code, out, err = run(capsys, "decompose", str(tmp_path / "absent.job"))
-    assert code == 4
+    missing = tmp_path / "absent.job"
+    assert run(capsys, "decompose", str(missing)) == (
+        4, "", f"error: cannot read {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+    assert run(capsys, "decompose", str(tmp_path)) == (
+        4, "", f"error: cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+    )
 
 
 def test_n2_job_and_latex_format(tmp_path, capsys):
@@ -482,6 +491,15 @@ MALFORMED = {
         "the in_top_sphere case exists only for n = 8 (the 12-dimensional theorem has four cases)",
     ),
     "bundle q 0": (BUNDLE_JOB.replace("q: 5", "q: 0"), "need fibre and base dimensions >= 1"),
+    # a sphere is not a structure group
+    "bundle group S^5": (
+        "kind: sphere_bundle\nq: 7\nn: 5\nhas_section: yes\ngroup: S^5\n",
+        "group must be a Lie group name NAME or NAME(INT), got 'S^5'",
+    ),
+    "wall group S^3": (
+        WALL_E6.replace("group: E6", "group: S^3"),
+        "group must be a Lie group name NAME or NAME(INT), got 'S^3'",
+    ),
 }
 
 
@@ -533,3 +551,81 @@ def test_wall_job_on_a_large_n_exits_3_promptly(tmp_path):
     path = write(tmp_path, "n2000.job", "kind: wall\nn: 2000\nm: 1\nchi: 0\ngroup: E8\n")
     statement = f"import gaugekit.cli; assert gaugekit.cli.main(['decompose', {str(path)!r}]) == 3"
     assert seconds_in_fresh_interpreter(statement) < 2.0
+
+
+def _job_file_accepts_group(name: str) -> bool:
+    try:
+        parse_job_text(BUNDLE_JOB.replace("group: E6", f"group: {name}"))
+    except SchemaError as exc:
+        assert str(exc).startswith("group must be a Lie group name"), exc
+        return False
+    return True
+
+
+def _parses_as_that_group(name: str) -> bool:
+    try:
+        return parse(name) == LieGroup(name)
+    except ParseError:
+        return False
+
+
+# pieces of random group names: the words the token grammar reserves or
+# claims, Unicode word characters and digits, and punctuation
+_NAME_PIECES = [
+    "x", "v", "u", "mod", "TC", "G_", "Map", "S", "CP", "SCP2", "e", "Sp", "E", "k",
+    "_", "8", "3", "\u0663", "\u00e9", "\u00b2", "(", ")", "^", "*", "[", "]", ",", ";", " ",
+]
+
+
+def test_job_file_accepts_a_group_exactly_when_the_parser_reads_it_back():
+    families = ["E6", "E7", "E8", "S", "S^n", "SCP2^k", "Sp", "Spin", "Sp(3)", "Spin(11)"]
+    # the names and labels that do not round-trip through the text format
+    found = ["Sp( 3)", "G_k", "mod", "k x", "1", "a]b"]
+    rng = random.Random(20181)
+    words = {"".join(rng.choices(_NAME_PIECES, k=rng.randint(1, 5))).strip() for _ in range(3000)}
+    names = families + found + sorted(w for w in words if w)
+    verdicts = {name: _job_file_accepts_group(name) for name in names}
+    assert verdicts == {name: _parses_as_that_group(name) for name in names}
+    assert [name for name in families + found if not verdicts[name]] == [
+        "S^n", "SCP2^k", "Sp( 3)", "G_k", "mod", "k x", "1", "a]b"
+    ]
+    assert 300 < sum(verdicts.values()) < len(names) - 300
+
+
+JOB_CRLF = WALL_E6.replace("\n", "\r\n").encode()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        JOB_CRLF,
+        WALL_E6.replace("\n", "\r").encode(),
+        WALL_E6.rstrip("\n").encode(),
+        b"kind: wall\r\nn: 5\rm: 3\n\r\nchi: 0 0 0\r\r\ngroup: E6\x0cformat: text",
+    ],
+    ids=["CRLF", "lone CR", "no trailing newline", "mixed line ends"],
+)
+def test_job_file_line_ends_read_as_newlines(tmp_path, data):
+    path = tmp_path / "wall.job"
+    path.write_bytes(data)
+    assert parse_job_file(path) == parse_job_file(str(path)) == parse_job_text(WALL_E6)
+
+
+def test_job_file_with_a_byte_order_mark_misses_its_first_key(tmp_path):
+    # the UTF-8 decoder keeps the mark, so the first key reads '\ufeffkind'
+    path = tmp_path / "bom.job"
+    path.write_bytes(b"\xef\xbb\xbf" + WALL_E6.encode())
+    with pytest.raises(SchemaError, match="^missing required key 'kind'$"):
+        parse_job_file(path)
+
+
+def test_non_utf8_offset_counts_from_the_start_of_the_file(tmp_path):
+    # past the first 8 KiB, and after CRLF line ends that text mode would fold
+    head = JOB_CRLF + b"# " + b"\r\n#" * 3000
+    path = tmp_path / "late.job"
+    path.write_bytes(head + b"\xc3\n")
+    with pytest.raises(SchemaError) as info:
+        parse_job_file(path)
+    assert len(head) > 8192
+    assert str(info.value) == f"not UTF-8 text (invalid continuation byte at byte {len(head)})"
+

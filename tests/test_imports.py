@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used there (a stdlib
 stand-in for a linter's unused-import check), no module imports
-`dataclasses`, and importing the CLI loads neither `dataclasses`,
-`inspect` nor the expression parser."""
+`dataclasses`, importing the CLI loads neither `dataclasses`, `inspect`
+nor the expression parser, and every module parses as Python 3.10, the
+oldest version pyproject.toml allows."""
 
 import ast
 import os
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gaugekit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gaugekit"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -151,3 +153,28 @@ def test_parse_resolves_on_first_use():
     assert callable(gaugekit.decompose)  # the function, not the submodule
     with pytest.raises(AttributeError, match="not_a_name"):
         gaugekit.not_a_name
+
+
+def syntax_newer_than(source: str, version: tuple[int, int]) -> str | None:
+    """The SyntaxError text if `source` does not parse with the grammar of
+    `version`, else None."""
+    try:
+        ast.parse(source, feature_version=version)
+    except SyntaxError as exc:
+        return f"line {exc.lineno}: {exc.msg}"
+    return None
+
+
+def test_syntax_check_sees_3_11_syntax():
+    assert syntax_newer_than("try:\n    pass\nexcept* ValueError:\n    pass\n", (3, 10))
+    assert syntax_newer_than("match x:\n    case 1:\n        pass\n", (3, 10)) is None
+
+
+def test_every_module_parses_as_python_3_10():
+    modules = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")])
+    assert len(modules) > 20
+    found = {
+        str(p.relative_to(ROOT)): syntax_newer_than(p.read_text(encoding="utf-8"), (3, 10))
+        for p in modules
+    }
+    assert {k: v for k, v in found.items() if v} == {}

@@ -316,3 +316,24 @@ def test_f2matrix_validation():
         F2Matrix.from_rows([[1, 0], [1]])
     with pytest.raises(ValueError):
         F2Matrix.from_rows([[2, 0], [0, 0]])
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[0, 1, 3, 2], [0] * 4, [0] * 4, [0] * 4], "entries must be bits, got 3"),
+        ([[1, 0], [1, -1]], "entries must be bits, got -1"),
+        # rows are checked in order, each for its length before its bits
+        ([[0, 2], [1]], "entries must be bits, got 2"),
+        ([[0, 1], [1], [5, 5]], "matrix must be square"),
+    ],
+)
+def test_f2matrix_names_the_first_fault(rows, message):
+    with pytest.raises(ValueError) as info:
+        F2Matrix.from_rows(rows)
+    assert str(info.value) == message
+
+
+def test_f2matrix_rows_are_tuples_of_ints():
+    assert F2Matrix.from_rows([(True, 0), "01"]).rows == ((1, 0), (0, 1))
+    assert type(F2Matrix.from_rows([[True]]).rows[0][0]) is int

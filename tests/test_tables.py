@@ -3,10 +3,16 @@ from pathlib import Path
 
 import pytest
 
+from gaugekit.decompose import decompose
 from gaugekit.groups import FGAbelianGroup
+from gaugekit.manifolds import GeneralComplex, N2Manifold, SigmaFCase, WallManifold
+from gaugekit.modmatrix import AttachingMatrix, F2Matrix
 from gaugekit.tables import (
+    _MEMO_CAP,
+    GroupQueryResult,
     HypothesisNotMetError,
     NotTabulatedError,
+    TableEntry,
     Tables,
     default_tables,
     parse_space,
@@ -224,3 +230,103 @@ def test_large_prime_torsion_order_loads_promptly():
         "assert str(t.pi('Gbig', 3).group) == 'Z/10000000000000000051'"
     )
     assert seconds_in_fresh_interpreter(statement) < 1.0
+
+
+# a query name for each packaged family and value of its one parameter
+_QUERY_NAME = {"S^n": "S^{}", "SCP2^k": "SCP2^{}", "Sp": "Sp({})", "Spin": "Spin({})"}
+
+
+def _answers(tables: Tables, space: str, q: int):
+    """What pi and pi_candidates give: the group and citation, or the error text."""
+    out = []
+    for query in (tables.pi, tables.pi_candidates):
+        try:
+            out.append(query(space, q))
+        except NotTabulatedError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _reference_answer(records: list[TableEntry], space: str, q: int):
+    """The first record the reference evaluator matches, or None."""
+    _, params = parse_space(space)
+    for entry in records:
+        if all(p in params for p in entry.params) and reference_matches(
+            entry.degree_spec, entry.validity, params, q
+        ):
+            return entry
+    return None
+
+
+def test_memoized_answers_equal_a_fresh_scan_and_the_reference():
+    memo = Tables.from_dir(DATA_DIR)
+    entries = [entry for family in memo._families.values() for entry in family]
+    hits = 0
+    for family, records in memo._families.items():
+        pattern = _QUERY_NAME.get(family)
+        spaces = [family] if pattern is None else [pattern.format(v) for v in range(25)]
+        assert all(len(entry.params) == (pattern is not None) for entry in records)
+        for space in spaces:
+            for q in range(65):
+                first = _answers(memo, space, q)
+                assert _answers(memo, space, q) == first == _answers(Tables(entries), space, q)
+                entry = _reference_answer(records, space, q)
+                if entry is None:
+                    assert first == [f"pi_{q}({space}) is not tabulated"] * 2
+                    continue
+                hits += 1
+                assert [r.group for r in first[1]] == list(entry.groups)
+                assert {r.source for r in first[1]} == {entry.citation}
+                if len(entry.groups) == 1:
+                    assert first[0] == first[1][0]
+                else:
+                    assert "only a candidate set is known" in first[0]
+    assert hits > 1000
+    assert 0 < len(memo._memo) <= _MEMO_CAP
+
+
+def test_a_division_by_zero_raises_on_every_repeat():
+    t = Tables.from_lines(["S^n, n, 3, 0, -, q // (n - 5) >= 0, divisor record"])
+    for _ in range(3):
+        with pytest.raises(NotTabulatedError, match=r"divisor record\) divides by zero"):
+            t.pi("S^5", 3)
+        with pytest.raises(NotTabulatedError, match="divides by zero"):
+            t.pi_candidates("S^5", 3)
+    assert t.pi("S^6", 3).group.is_trivial()
+    assert list(t._memo) == [("S^6", 3)]
+
+
+def test_instances_do_not_share_answers():
+    two = Tables.from_lines(["Gx, -, 3, 0, 2, -, first"])
+    three = Tables.from_lines(["Gx, -, 3, 0, 3, -, second"])
+    for _ in range(2):
+        assert two.pi("Gx", 3) == GroupQueryResult(Zof(0, [2]), "first")
+        assert three.pi("Gx", 3) == GroupQueryResult(Zof(0, [3]), "second")
+
+
+def test_memo_never_exceeds_its_cap():
+    t = Tables.from_lines(["Gt, -, 0..100000, 0, 2, -, every degree"])
+    for degree in range(2 * _MEMO_CAP + 10):
+        assert t.pi("Gt", degree).group == Zof(0, [2])
+        assert len(t._memo) <= _MEMO_CAP
+    assert t.pi("Gt", 0).source == "every degree"  # answered again after a clear
+
+
+def test_a_repeated_decomposition_tests_no_record(monkeypatch):
+    entries = [entry for family in default_tables()._families.values() for entry in family]
+    tested = []
+    matches = TableEntry.matches
+    monkeypatch.setattr(TableEntry, "matches", lambda self, *a: tested.append(1) or matches(self, *a))
+    # every query of these jobs is tabulated (a miss is scanned again)
+    jobs = [
+        (WallManifold.of(8, [0, 0, 0]), "E8", {2}),
+        (N2Manifold(6, F2Matrix.identity(2), SigmaFCase.NULL_HOMOTOPIC), "E7", set()),
+        (GeneralComplex(6, AttachingMatrix.from_rows([[2], [3], [0]], [24])), "E7", {5}),
+    ]
+    for spec, group, away in jobs:
+        tables = Tables(entries)
+        first = decompose(spec, group, away, tables)
+        assert tested
+        tested.clear()
+        assert decompose(spec, group, away, tables) == first
+        assert tested == []
