@@ -7,13 +7,15 @@ Reads a job file (see jobfile), runs the dispatcher, and prints the
 suspension splitting, the gauge decomposition, and the rule used.  Exit
 codes: 0 success, 2 hypothesis not met (including unsupported inputs and
 inapplicable cases), 3 homotopy group not tabulated, 4 malformed job file
-or table directory.  The table directory can be overridden with
+or table directory, 141 (128 + SIGPIPE) when the reader of standard output
+closes it early.  The table directory can be overridden with
 GAUGEKIT_TABLES; it is loaded once, before the first job.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -29,6 +31,7 @@ EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
 EXIT_NOT_TABULATED = 3
 EXIT_SCHEMA = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def _describe(job) -> str:
@@ -111,6 +114,20 @@ def _run_one(path: Path, args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+    except BrokenPipeError:
+        # nothing reads the rest: send it to os.devnull, so that the flush at
+        # interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _main(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(
         prog="gaugekit",
         description="suspension splittings and gauge-group decompositions "

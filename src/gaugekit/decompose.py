@@ -105,15 +105,17 @@ def _away(localize_away: Iterable[int]) -> frozenset[int]:
     return away
 
 
-def _gauge_label(tables: Tables, group: str, dimension: int) -> str:
-    """"k" when the bundle classes are tabulated as the integers, else the
-    generic class label."""
+def _gauge_label(tables: Tables, group: str, dimension: int, strict: bool) -> str:
+    """"k" when the bundle classes pi_{dimension-1}(G) are tabulated as the
+    integers, else the generic class label "alpha".  Untabulated classes
+    raise NotTabulatedError when `strict`, and get "alpha" otherwise."""
     try:
-        if tables.pi(group, dimension - 1).group == Z:
-            return "k"
+        classes = tables.pi(group, dimension - 1).group
     except NotTabulatedError:
-        pass
-    return "alpha"
+        if strict:
+            raise
+        return "alpha"
+    return "k" if classes == Z else "alpha"
 
 
 def _split(
@@ -233,8 +235,7 @@ def gauge_decompose_wall(
     )
     # the bundles are classified by pi_{2n-1}(G); an untabulated group there
     # surfaces as an error rather than a guessed class label
-    classes = tables.pi(group, M.dimension - 1).group
-    label = "k" if classes == Z else "alpha"
+    label = _gauge_label(tables, group, M.dimension, strict=True)
     base, spheres, reason = _wall_base(M, away, group)
     theorem = f"gauge splitting over (n-1)-connected 2n-manifolds: {reason}"
     return _split(base, [Sphere(n)] * spheres, label, group, theorem, away)
@@ -306,7 +307,7 @@ def gauge_decompose_sphere_bundle(
         n - 1,
         f"the sectioned sphere-bundle gauge splitting (pi_{n - 1}(G) = 0)",
     )
-    label = _gauge_label(tables, group, E.dimension)
+    label = _gauge_label(tables, group, E.dimension, strict=False)
 
     if E.j_xi_trivial and stable_range:
         try:

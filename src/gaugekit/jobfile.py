@@ -2,9 +2,9 @@
 ``key: value`` format with `#` comments.
 
 Common keys: ``kind`` (wall | sphere_bundle | n2 | complex), ``group``
-(a Lie group name ``NAME`` or ``NAME(INT)`` that the expression parser
-reads back, such as E8 or Sp(3)), ``localize_away`` (primes, space- or
-comma-separated), ``format`` (text | latex).  Kind-specific keys:
+(a Lie group name such as E8 or Sp(3), which `spaces.LieGroup` accepts),
+``localize_away`` (primes, space- or comma-separated), ``format``
+(text | latex).  Kind-specific keys:
 
   wall           n, m, chi (m residues, already reduced mod the J-image
                  order), almost_parallelizable (yes/no)
@@ -18,21 +18,21 @@ Schema problems raise SchemaError.  The builders check only what a job
 file alone can know: syntax (integers, yes/no, enum names), counts against
 the declared m, and that chi residues and B entries are already reduced
 (a chi entry >= its modulus is rejected, not reduced).  Every other rule
-is owned by the model type being built (WallManifold via chi_modulus,
-AttachingMatrix, F2Matrix, N2Manifold, ...), whose ValueError becomes a
-SchemaError with the same text.  A key other than ``C`` and ``B`` with an
-empty value is a SchemaError.  Each builder pops the keys it reads; any
-left over is a SchemaError.
+is owned by the model type being built (LieGroup for the group name,
+WallManifold via chi_modulus, AttachingMatrix, F2Matrix, N2Manifold, ...),
+whose ValueError becomes a SchemaError with the same text.  A key other
+than ``C`` and ``B`` with an empty value is a SchemaError.  Each builder
+pops the keys it reads; any left over is a SchemaError.
 """
 
 from __future__ import annotations
 
-import re
 from os import PathLike
 
 from .exact import is_prime
 from .manifolds import GeneralComplex, N2Manifold, SigmaFCase, SphereBundle, WallManifold
 from .modmatrix import AttachingMatrix, F2Matrix
+from .spaces import LieGroup
 from .value import Value, set_field
 
 __all__ = ["SchemaError", "Job", "parse_job_file", "parse_job_text", "parse_primes"]
@@ -66,10 +66,6 @@ class Job(Value):
 
 
 _Fields = dict[str, tuple[str, list[str]]]
-# A group name as the expression parser reads one back (README, "Expression
-# grammar"): NAME or NAME(INT), NAME a word that is neither a reserved word
-# nor a gauge atom `G_` + letter.  The parser itself is not imported here.
-_GROUP = re.compile(r"(?!(?:x|v|u|mod|TC)\b|G_[A-Za-z])[A-Za-z]\w*(?:\(\d+\))?")
 _BOOLS = {"yes": True, "true": True, "no": False, "false": False}
 
 
@@ -165,8 +161,10 @@ def parse_job_text(text: str) -> Job:
     if kind not in _BUILD:
         raise SchemaError(f"kind must be one of {tuple(_BUILD)}, got {kind!r}")
     group = _get(fields, "group")
-    if _GROUP.fullmatch(group) is None:
-        raise SchemaError(f"group must be a Lie group name NAME or NAME(INT), got {group!r}")
+    try:
+        LieGroup(group)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
     away = parse_primes(_get(fields, "localize_away", ""))
     fmt = _get(fields, "format", "text")
     if fmt not in ("text", "latex"):

@@ -16,12 +16,11 @@ MAX_DEPTH levels deep: each prefix operand, parenthesis, and "Map*(" or
 "G_...(" argument is one level.  The parser builds bottom-up through the
 smart constructors, so every argument it passes is already canonical and so
 is the result: parse(render_text(e)) == e for every canonical expression e
-whose text nests at most MAX_DEPTH levels and whose names and labels the
-tokens read back: a group name NAME or NAME(INT), NAME a word that no other
-token claims; a gauge label an ASCII letter, then word characters; a cell
-label without "]" (see README, "Expression grammar").  An attached complex
-under a prefix renders parenthesized, so its text nests one level deeper
-than its tree.
+whose text nests at most MAX_DEPTH levels.  Names and labels need no
+condition here: the tokens are built from the name grammar of `spaces`,
+whose node constructors reject any name or label outside it.  An attached
+complex under a prefix renders parenthesized, so its text nests one level
+deeper than its tree.
 """
 
 from __future__ import annotations
@@ -30,6 +29,11 @@ import re
 
 from .exact import CyclicElem
 from .spaces import (
+    CELL_LABEL,
+    GAUGE,
+    NAME,
+    RESERVED,
+    WORD,
     LieGroup,
     MappingSpace,
     SpaceExpr,
@@ -58,25 +62,24 @@ class ParseError(ValueError):
 
 # One token after optional whitespace.  The group is optional, so a match
 # never fails: it finds no token at the end of the text and at a character
-# no token starts with.  Words the grammar reserves (x, v, u, mod, TC) match
-# as words, like group names; an earlier alternative wins where two overlap.
+# no token starts with.  Reserved words match as words, like group names;
+# an earlier alternative wins where two overlap.
 _TOKEN = re.compile(
-    r"""\s*(
+    rf"""\s*(
         S\^\d+ | SCP2\^\d+ | CP\^2 | Omega\^\d+ | Sigma\^\d+ | e\^\d+
-      | G_[A-Za-z]\w* | Map\* | [A-Za-z]\w* | \[[^\]]*\] | \d+ | [(),;]
+      | {GAUGE}{WORD} | Map\* | {WORD} | \[{CELL_LABEL}\] | \d+ | [(),;]
     )?""",
     re.VERBOSE,
 )
-_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
 
 # Kind names, which only ParseError messages use: whole tokens, then prefixes.
 _KIND_OF_TOKEN = {
     "(": "LPAREN", ")": "RPAREN", ";": "SEMI", ",": "COMMA",
-    "x": "X", "v": "V", "u": "U", "mod": "MOD", "TC": "TC", "Map*": "MAPSTAR", "CP^2": "CP2",
+    **{word: word.upper() for word in RESERVED}, "Map*": "MAPSTAR", "CP^2": "CP2",
 }
 _KIND_OF_PREFIX = (
     ("S^", "SPHERE"), ("SCP2^", "SCP2"), ("Omega^", "OMEGA"), ("Sigma^", "SIGMA"),
-    ("e^", "ECELL"), ("[", "LABEL"), ("G_", "GAUGE"),
+    ("e^", "ECELL"), ("[", "LABEL"), (GAUGE, "GAUGE"),
 )
 
 
@@ -93,18 +96,9 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
-def _is_gauge(token: str) -> bool:
-    return token[2:3] in _LETTERS and token.startswith("G_")
-
-
-def _is_name(token: str) -> bool:
-    """A word no other kind claims: a group name."""
-    return (
-        token[0] in _LETTERS
-        and "^" not in token
-        and token not in _KIND_OF_TOKEN
-        and not _is_gauge(token)
-    )
+# Truthy exactly for a gauge-atom token and for a group-name word token.
+_is_gauge = re.compile(GAUGE + WORD).fullmatch
+_is_name = NAME.fullmatch
 
 
 def _kind(token: str) -> str:
@@ -203,7 +197,7 @@ class _Parser:
                 self.pos += 1
                 group = self.parse_group_name()
             self.expect(")")
-            return gauge(base, token[2:], group)
+            return gauge(base, token[len(GAUGE):], group)
         if token == "Map*":
             self.expect("(")
             domain = self.parse_expr()

@@ -14,9 +14,15 @@ trees, each by one rewriting step at the top of the tree.  `normalize` and
 `localize` accept any tree: both rebuild it bottom-up through the smart
 constructors in a single walk, and `localize` also splits the two-cell
 complexes whose attaching class dies away from its primes.
+
+Names and labels are written into the text form as they are, so the nodes
+that carry them accept only those that read back as the same tokens; the
+name grammar below is the one the parser's tokens are built from.
 """
 
 from __future__ import annotations
+
+import re
 
 from .exact import CyclicElem, element_order, prime_to_part
 from .value import Value, set_field
@@ -45,6 +51,25 @@ __all__ = [
     "localize",
     "sort_key",
 ]
+
+
+# --- the name grammar ---------------------------------------------------------
+# The parser builds its tokens from these pieces.  `\w` and `\d` keep
+# Python's Unicode meaning.
+WORD = r"[A-Za-z]\w*"  # a gauge label, and a group name before its rank
+RESERVED = ("x", "v", "u", "mod", "TC")  # words that are tokens of their own
+GAUGE = "G_"  # with a word after it, opens a gauge atom G_label(...)
+CELL_LABEL = r"[^\]]*"  # the label of a cell attachment u[label]: no "]"
+
+# A group name is NAME or NAME(INT), NAME a word that is not reserved and
+# does not open a gauge atom.
+NAME = re.compile(rf"(?!(?:{'|'.join(RESERVED)})\b|{GAUGE}{WORD}){WORD}")
+_is_group = re.compile(rf"{NAME.pattern}(?:\(\d+\))?").fullmatch
+_is_gauge_label = re.compile(WORD).fullmatch
+
+
+def _not_a_group(name: str) -> ValueError:
+    return ValueError(f"group must be a Lie group name NAME or NAME(INT), got {name!r}")
 
 
 class SpaceExpr(Value):
@@ -95,7 +120,7 @@ class TwoCell(SpaceExpr):
 
 class AttachedComplex(SpaceExpr):
     """A wedge skeleton with one top cell attached along a symbolic class
-    (label None when the class is unspecified)."""
+    (label None when the class is unspecified); a label has no "]"."""
 
     __slots__ = ("skeleton", "top", "label")
     skeleton: SpaceExpr
@@ -103,16 +128,22 @@ class AttachedComplex(SpaceExpr):
     label: str | None
 
     def __init__(self, skeleton: SpaceExpr, top: int, label: str | None = None):
+        if label and "]" in label:
+            raise ValueError(f"cell label must not contain ']', got {label!r}")
         set_field(self, "skeleton", skeleton)
         set_field(self, "top", top)
         set_field(self, "label", label)
 
 
 class LieGroup(SpaceExpr):
+    """A structure group, named NAME or NAME(INT) in the name grammar."""
+
     __slots__ = ("name",)
     name: str
 
     def __init__(self, name: str):
+        if _is_group(name) is None:
+            raise _not_a_group(name)
         set_field(self, "name", name)
 
 
@@ -129,8 +160,8 @@ class MappingSpace(SpaceExpr):
 
 
 class Gauge(SpaceExpr):
-    """Gauge-group atom G_label(base); the structure group annotation is
-    optional and omitted from the text render when absent."""
+    """Gauge-group atom G_label(base), its label a word; the structure group
+    annotation is optional and omitted from the text render when absent."""
 
     __slots__ = ("base", "label", "group")
     base: SpaceExpr
@@ -138,6 +169,12 @@ class Gauge(SpaceExpr):
     group: str | None
 
     def __init__(self, base: SpaceExpr, label: str = "k", group: str | None = None):
+        if _is_gauge_label(label) is None:
+            raise ValueError(
+                f"gauge label must be an ASCII letter followed by word characters, got {label!r}"
+            )
+        if group and _is_group(group) is None:
+            raise _not_a_group(group)
         set_field(self, "base", base)
         set_field(self, "label", label)
         set_field(self, "group", group)

@@ -345,6 +345,13 @@ def rank_f2_bruteforce(rows: Sequence[Sequence[int]]) -> int:
 
 # --- random expressions for normalization/round-trip sweeps -----------------
 
+# pieces of random names and labels: the words the token grammar reserves or
+# claims, Unicode word characters and digits, and punctuation
+NAME_PIECES = [
+    "x", "v", "u", "mod", "TC", "G_", "Map", "S", "CP", "SCP2", "e", "Sp", "E", "k",
+    "_", "8", "3", "\u0663", "\u00e9", "\u00b2", "(", ")", "^", "*", "[", "]", ",", ";", " ",
+]
+
 _GROUP_POOL = ("E6", "E7", "E8", "Sp(3)", "Spin(11)", "G2")
 
 

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,10 +10,10 @@ from gaugekit.cli import main
 from gaugekit.jobfile import SchemaError, parse_job_file, parse_job_text
 from gaugekit.manifolds import WallManifold, chi_modulus
 from gaugekit.modmatrix import AttachingMatrix, F2Matrix
-from gaugekit.parser import ParseError, parse
+from gaugekit.parser import parse
 from gaugekit.spaces import LieGroup
 
-from support import seconds_in_fresh_interpreter
+from support import NAME_PIECES, seconds_in_fresh_interpreter
 
 WALL_E6 = """\
 kind: wall
@@ -415,6 +418,24 @@ def test_sample_jobs_output_matches_golden(capsys):
     assert "".join(runs) == golden.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_141_without_a_traceback(unbuffered):
+    # the reader is gone before the first write: a print (unbuffered) or the
+    # final flush (buffered) meets the closed pipe
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "gaugekit.cli", "decompose", "--jobs", "sample_jobs", "--trace"],
+            cwd=root, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
 COMPLEX_2COL_JOB = """\
 kind: complex
 n: 6
@@ -565,24 +586,16 @@ def _job_file_accepts_group(name: str) -> bool:
 def _parses_as_that_group(name: str) -> bool:
     try:
         return parse(name) == LieGroup(name)
-    except ParseError:
+    except ValueError:  # a ParseError, or LieGroup rejecting the name
         return False
-
-
-# pieces of random group names: the words the token grammar reserves or
-# claims, Unicode word characters and digits, and punctuation
-_NAME_PIECES = [
-    "x", "v", "u", "mod", "TC", "G_", "Map", "S", "CP", "SCP2", "e", "Sp", "E", "k",
-    "_", "8", "3", "\u0663", "\u00e9", "\u00b2", "(", ")", "^", "*", "[", "]", ",", ";", " ",
-]
 
 
 def test_job_file_accepts_a_group_exactly_when_the_parser_reads_it_back():
     families = ["E6", "E7", "E8", "S", "S^n", "SCP2^k", "Sp", "Spin", "Sp(3)", "Spin(11)"]
-    # the names and labels that do not round-trip through the text format
+    # names and labels that once rendered text that does not parse back
     found = ["Sp( 3)", "G_k", "mod", "k x", "1", "a]b"]
     rng = random.Random(20181)
-    words = {"".join(rng.choices(_NAME_PIECES, k=rng.randint(1, 5))).strip() for _ in range(3000)}
+    words = {"".join(rng.choices(NAME_PIECES, k=rng.randint(1, 5))).strip() for _ in range(3000)}
     names = families + found + sorted(w for w in words if w)
     verdicts = {name: _job_file_accepts_group(name) for name in names}
     assert verdicts == {name: _parses_as_that_group(name) for name in names}

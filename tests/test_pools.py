@@ -26,20 +26,17 @@ GOLDEN = Path(__file__).parent / "golden" / "pools.txt"
 SEED = 1
 
 
-def pool_specs() -> dict[str, list[dict]]:
-    """Each workload's job specs, generated as perfbench/run.py does."""
-    return {
+def run_pools(workdir: Path) -> Iterator[tuple[str, dict, int, str, str]]:
+    """(name, spec, exit code, stdout, stderr) of each pool job: generated
+    as perfbench/run.py does, written to workdir, run through `cli.main`
+    (with --trace where the spec asks for it), and the job's path replaced
+    by its name in the output."""
+    pools = {
         "batch_mixed": jobs.batch_mixed(random.Random(SEED), run.BATCH_JOBS),
         "reduce_bigmod": jobs.reduce_bigmod(random.Random(SEED)),
         "cold_cli": jobs.cold_cli(random.Random(SEED), run.COLD_WALLS),
     }
-
-
-def run_pools(workdir: Path) -> Iterator[tuple[str, dict, int, str, str]]:
-    """(name, spec, exit code, stdout, stderr) of each pool job: written
-    to workdir, run through `cli.main` (with --trace where the spec asks
-    for it), and the job's path replaced by its name in the output."""
-    for workload, specs in pool_specs().items():
+    for workload, specs in pools.items():
         (workdir / workload).mkdir()
         for i, spec in enumerate(specs):
             name = f"{workload}/job{i:05d}.job"
@@ -63,7 +60,9 @@ def pool_golden_lines(workdir: Path | str) -> list[str]:
 
 def meets_oracle(spec: dict, code: int, stdout: str) -> bool:
     lines = stdout.splitlines()
-    fields = dict(line.split(": ", 1) for line in lines if line.startswith(("suspension: ", "gauge: ")))
+    fields = dict(
+        line.split(": ", 1) for line in lines if line.startswith(("suspension: ", "gauge: "))
+    )
     if not oracle.check(oracle.expected(spec), code, fields.get("suspension"), fields.get("gauge")):
         return False
     return not (spec.get("trace") and code == oracle.EXIT_OK) or oracle.check_trace(spec, lines)

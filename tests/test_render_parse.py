@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from gaugekit.spaces import (
 )
 
 from support import (
+    NAME_PIECES,
     expression_fixture_lines,
     mutated_renders,
     parse_error_fixture_lines,
@@ -170,19 +172,58 @@ def test_round_trip_survives_localization():
 
 
 def test_round_trip_needs_names_and_labels_in_the_token_grammar():
-    # a group name NAME(INT) re-parses without the space it was given
-    assert render_text(LieGroup("Sp( 3)")) == "Sp( 3)"
-    assert parse("Sp( 3)") == LieGroup("Sp(3)")
-    # names and labels outside the token grammar render text parse rejects
-    for e in (
-        attached(Sphere(5), 12, "a]b"),
-        gauge(Sphere(2), "k x"),
-        LieGroup("mod"),
-        LieGroup("G_k"),
-        gauge(Sphere(2), "1"),
-    ):
-        with pytest.raises(ParseError):
-            parse(render_text(e))
+    # names and labels whose text would not parse back to them
+    message = "group must be a Lie group name NAME or NAME(INT), got 'Sp( 3)'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LieGroup("Sp( 3)")  # would re-parse as Sp(3)
+    for name in ("G_k", "mod"):
+        with pytest.raises(ValueError, match="^group must be a Lie group name"):
+            LieGroup(name)
+        with pytest.raises(ValueError, match="^group must be a Lie group name"):
+            gauge(Sphere(2), "k", name)
+    for label in ("k x", "1"):
+        with pytest.raises(ValueError, match="^gauge label must be an ASCII letter"):
+            gauge(Sphere(2), label)
+    with pytest.raises(ValueError, match="^cell label must not contain"):
+        attached(Sphere(5), 12, "a]b")
+    # an empty label or group is none, and renders as none
+    assert attached(Sphere(5), 12, "") == attached(Sphere(5), 12) == AttachedComplex(Sphere(5), 12)
+    assert gauge(Sphere(2), "k", "") == gauge(Sphere(2)) == Gauge(Sphere(2))
+    assert render_text(AttachedComplex(Sphere(5), 12, "")) == "S^5 u e^12"
+    assert render_text(Gauge(Sphere(2), "k", "")) == "G_k(S^2)"
+
+
+def _named_expr(rng: random.Random, depth: int):
+    """A canonical tree whose group names and labels are random words of
+    name pieces; building it raises when one is outside the grammar."""
+
+    def name() -> str:
+        return "".join(rng.choices(NAME_PIECES, k=rng.randint(1, 3)))
+
+    kind = rng.randrange(5) if depth else 0
+    if kind == 0:
+        return LieGroup(name())
+    inner = _named_expr(rng, depth - 1)
+    if kind == 1:
+        return gauge(inner, name(), rng.choice((None, "", name())))
+    if kind == 2:
+        return attached(inner, rng.randint(8, 20), rng.choice((None, "", name())))
+    if kind == 3:
+        return rng.choice((loop, suspension))(rng.randint(1, 3), inner)
+    return rng.choice((wedge, product))(inner, random_expr(rng, depth=1))
+
+
+def test_every_tree_of_random_names_raises_or_round_trips():
+    rng = random.Random(2022)
+    built = 0
+    for _ in range(3000):
+        try:
+            e = _named_expr(rng, rng.randint(0, 3))
+        except ValueError:
+            continue
+        built += 1
+        assert parse(render_text(e)) == e, render_text(e)
+    assert 300 < built < 2700
 
 
 def test_parse_errors():
