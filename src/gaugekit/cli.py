@@ -4,7 +4,10 @@
                        [--trace] [--jobs <dir>]
 
 Reads a job file (see jobfile), runs the dispatcher, and prints the
-suspension splitting, the gauge decomposition, and the rule used.  Exit
+suspension splitting, the gauge decomposition, and the rule used.
+`--trace` prints the row reduction a complex job's decomposition was
+computed from.  `--localize-away` is checked once, before the first job.
+Exit
 codes: 0 success, 2 hypothesis not met (including unsupported inputs and
 inapplicable cases), 3 homotopy group not tabulated, 4 malformed job file
 or table directory, 141 (128 + SIGPIPE) when the reader of standard output
@@ -22,8 +25,7 @@ from typing import Iterator
 
 from .decompose import DecompositionError, decompose
 from .jobfile import SchemaError, parse_job_file, parse_primes
-from .manifolds import GeneralComplex
-from .modmatrix import RowOp, reduce_with_report, rowop_orbit
+from .modmatrix import RowOp, rowop_orbit
 from .render import render
 from .tables import HypothesisNotMetError, NotTabulatedError, default_tables
 
@@ -45,11 +47,11 @@ def _describe(job) -> str:
     return f"{job.kind} ({params}), group {job.group}"
 
 
-def _trace_lines(job) -> Iterator[str]:
-    if not isinstance(job.spec, GeneralComplex):
+def _trace_lines(result) -> Iterator[str]:
+    if result.reduction is None:
         yield "trace: no row-operation log for this job kind"
         return
-    reduced, report = reduce_with_report(job.spec.B)
+    reduced, report = result.reduction
     # one unit operation a line: `add a b k` is printed as k lines `add a b`
     yield f"trace: {sum(op.k for op in reduced.oplog)} row operations"
     for op in reduced.oplog:
@@ -59,7 +61,7 @@ def _trace_lines(job) -> Iterator[str]:
     yield f"trace: diagonal {list(report.pivots)}"
     for note in report.notes:
         yield f"trace: note: {note}"
-    orbit = rowop_orbit(job.spec.B.entries, job.spec.B.moduli)
+    orbit = rowop_orbit(reduced.initial, reduced.moduli)
     if orbit is None:
         yield "trace: oracle: orbit search skipped (state space too large)"
     elif reduced.entries in orbit:
@@ -68,7 +70,7 @@ def _trace_lines(job) -> Iterator[str]:
         yield "trace: oracle: REDUCED FORM NOT IN ORBIT (certification failure)"
 
 
-def _run_one(path: Path, args) -> int:
+def _run_one(path: Path, args, extra_away: frozenset[int]) -> int:
     try:
         job = parse_job_file(path)
     except OSError as exc:
@@ -78,17 +80,10 @@ def _run_one(path: Path, args) -> int:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 
-    away = set(job.localize_away)
-    if args.localize_away:
-        try:
-            away |= parse_primes(args.localize_away)
-        except SchemaError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SCHEMA
     fmt = args.format or job.fmt
 
     try:
-        result = decompose(job.spec, job.group, away)
+        result = decompose(job.spec, job.group, job.localize_away | extra_away)
     except NotTabulatedError as exc:
         print(f"error: not tabulated: {exc}", file=sys.stderr)
         return EXIT_NOT_TABULATED
@@ -108,7 +103,7 @@ def _run_one(path: Path, args) -> int:
     if result.localized_away:
         print(f"localized away: {', '.join(str(p) for p in sorted(result.localized_away))}")
     if args.trace:
-        for line in _trace_lines(job):
+        for line in _trace_lines(result):
             print(line)
     return EXIT_OK
 
@@ -141,6 +136,11 @@ def _main(argv: list[str] | None) -> int:
     dec.add_argument("--trace", action="store_true", help="dump the row-operation log and oracle verdicts")
     dec.add_argument("--jobs", metavar="DIR", help="process every job file in a directory")
     args = parser.parse_args(argv)
+    try:
+        extra_away = parse_primes(args.localize_away or "")
+    except SchemaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
 
     try:
         default_tables()
@@ -162,12 +162,12 @@ def _main(argv: list[str] | None) -> int:
             if i:
                 print()
             print(f"== {path.name}")
-            worst = max(worst, _run_one(path, args))
+            worst = max(worst, _run_one(path, args, extra_away))
         return worst
     if not args.file:
         print("error: give a job file or --jobs DIR", file=sys.stderr)
         return EXIT_SCHEMA
-    return _run_one(Path(args.file), args)
+    return _run_one(Path(args.file), args, extra_away)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,7 +12,9 @@ from typing import Iterable
 
 from .exact import CyclicElem, is_prime, subgroup_generator
 from .manifolds import GeneralComplex, N2Manifold, SigmaFCase, SphereBundle, WallManifold
-from .modmatrix import nonzero_column_count, rank_f2, reduce_with_report
+from .modmatrix import (
+    AttachingMatrix, ReductionReport, nonzero_column_count, rank_f2, reduce_with_report
+)
 from .spaces import (
     LieGroup,
     MappingSpace,
@@ -68,14 +70,18 @@ class CaseInapplicableError(DecompositionError):
 
 class Decomposition(Value):
     """A suspension splitting together with the matching gauge-group product,
-    the rule that produced them, and the localization applied."""
+    the rule that produced them, and the localization applied.  A complex
+    job's `reduction` is the `reduce_with_report` pair it was read off; it is
+    left out of equality, hashing and the repr, and None for other kinds."""
 
-    __slots__ = ("suspension", "gauge", "theorem_used", "localized_away", "base_space")
+    __slots__ = ("suspension", "gauge", "theorem_used", "localized_away", "base_space", "reduction")
+    _fields = __slots__[:-1]
     suspension: SpaceExpr
     gauge: SpaceExpr
     theorem_used: str
     localized_away: frozenset[int]
     base_space: SpaceExpr | None
+    reduction: tuple[AttachingMatrix, ReductionReport] | None
 
     def __init__(
         self,
@@ -84,12 +90,14 @@ class Decomposition(Value):
         theorem_used: str,
         localized_away: frozenset[int] = frozenset(),
         base_space: SpaceExpr | None = None,
+        reduction: tuple[AttachingMatrix, ReductionReport] | None = None,
     ) -> None:
         set_field(self, "suspension", suspension)
         set_field(self, "gauge", gauge)
         set_field(self, "theorem_used", theorem_used)
         set_field(self, "localized_away", localized_away)
         set_field(self, "base_space", base_space)
+        set_field(self, "reduction", reduction)
 
     def gauge_factors(self) -> tuple[SpaceExpr, ...]:
         if isinstance(self.gauge, Product):
@@ -126,6 +134,7 @@ def _split(
     theorem: str,
     away: frozenset[int] = frozenset(),
     base_space: SpaceExpr | None = None,
+    reduction: tuple[AttachingMatrix, ReductionReport] | None = None,
 ) -> Decomposition:
     """The splitting rule: a suspension splitting Sigma(base) v (wedge of
     Sigma X) gives G_label(base) x (product of Map*(X, G)), where X = S^k
@@ -141,6 +150,7 @@ def _split(
         theorem,
         away,
         base_space,
+        reduction,
     )
 
 
@@ -253,8 +263,8 @@ def gauge_decompose_complex(
     n-sphere, hence one n-fold loop-group factor."""
     tables = tables or default_tables()
     n, m = Zc.n, Zc.m
-    reduced, _report = reduce_with_report(Zc.B)
-    t = nonzero_column_count(reduced)
+    reduction = reduce_with_report(Zc.B)
+    t = nonzero_column_count(reduction[0])
     if t >= m:
         raise NoSplittingError(
             f"the reduced attaching matrix has t = {t} nonzero columns with "
@@ -274,6 +284,7 @@ def gauge_decompose_complex(
         group,
         "two-cone gauge factorization via restricted row reduction of the "
         "suspended attaching matrix",
+        reduction=reduction,
     )
 
 
@@ -449,5 +460,6 @@ def decompose(
     if not away:
         return d
     return Decomposition(
-        localize(d.suspension, away), localize(d.gauge, away), d.theorem_used, away, d.base_space
+        localize(d.suspension, away), localize(d.gauge, away), d.theorem_used, away,
+        d.base_space, d.reduction,
     )

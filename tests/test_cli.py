@@ -9,7 +9,7 @@ import pytest
 from gaugekit.cli import main
 from gaugekit.jobfile import SchemaError, parse_job_file, parse_job_text
 from gaugekit.manifolds import WallManifold, chi_modulus
-from gaugekit.modmatrix import AttachingMatrix, F2Matrix
+from gaugekit.modmatrix import AttachingMatrix, F2Matrix, reduce_with_report
 from gaugekit.parser import parse
 from gaugekit.spaces import LieGroup
 
@@ -204,6 +204,15 @@ def test_bad_prime_exits_4(tmp_path, capsys):
         assert "prime" in err
 
 
+def test_bad_localize_away_flag_is_reported_once_before_any_job(tmp_path, capsys):
+    sample_jobs = Path(__file__).resolve().parents[1] / "sample_jobs"
+    error = "error: localize_away entries must be prime, got 4\n"
+    assert run(capsys, "decompose", "--jobs", str(sample_jobs), "--localize-away", "4") == (4, "", error)
+    # the flag is checked before any job file is read
+    path = write(tmp_path, "k.job", "kind: torus\ngroup: E6\n")
+    assert run(capsys, "decompose", path, "--localize-away", "4") == (4, "", error)
+
+
 def test_unknown_kind_exits_4(tmp_path, capsys):
     path = write(tmp_path, "k.job", "kind: torus\ngroup: E6\n")
     code, out, err = run(capsys, "decompose", path)
@@ -253,6 +262,23 @@ def test_trace_text_is_one_unit_operation_a_line(tmp_path, capsys):
     assert run(capsys, "decompose", str(sample), "--trace") == (0, TRACE_COMPLEX_E7, "")
     path = write(tmp_path, "cx120.job", COMPLEX_120_JOB)
     assert run(capsys, "decompose", path, "--trace") == (0, TRACE_COMPLEX_120, "")
+
+
+def test_traced_complex_job_reduces_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(B):
+        calls.append(B)
+        return reduce_with_report(B)
+
+    # every gaugekit module that holds the function by name, so that a call
+    # from any of them counts
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gaugekit") and getattr(module, "reduce_with_report", None) is reduce_with_report:
+            monkeypatch.setattr(module, "reduce_with_report", counted)
+    path = write(tmp_path, "cx120.job", COMPLEX_120_JOB)
+    assert run(capsys, "decompose", path, "--trace") == (0, TRACE_COMPLEX_120, "")
+    assert calls == [parse_job_file(path).spec.B]
 
 
 def test_trace_on_wall_job_notes_absence(tmp_path, capsys):

@@ -25,7 +25,7 @@ from gaugekit.manifolds import (
     SphereBundle,
     WallManifold,
 )
-from gaugekit.modmatrix import AttachingMatrix, F2Matrix
+from gaugekit.modmatrix import AttachingMatrix, F2Matrix, replay_oplog
 from gaugekit.render import render_text
 from gaugekit.spaces import (
     Gauge,
@@ -269,6 +269,16 @@ def test_complex_counts_use_reduced_matrix():
         GeneralComplex(8, AttachingMatrix.from_rows([[0, 0], [0, 0], [2, 6]], (8, 8))), "E8"
     )
     assert len(loop_factors(d)) == 1  # m - t = 3 - 2
+
+
+def test_complex_result_keeps_its_reduction_through_localization():
+    B = AttachingMatrix.from_rows([[32], [112], [0]], 120)
+    d = decompose(GeneralComplex(6, B), "E7", [2])
+    assert d.localized_away == frozenset({2})
+    reduced, report = d.reduction
+    assert (reduced.initial, reduced.moduli) == (B.entries, B.moduli)
+    assert reduced.oplog and replay_oplog(reduced) == reduced.entries == ((8,), (0,), (0,))
+    assert report.pivots == (8,)
 
 
 # --- sphere bundles --------------------------------------------------------------
@@ -548,6 +558,7 @@ def test_dispatch_totality():
                 [[rng.randrange(8)] for _ in range(m)], 8
             )
             specs.append(GeneralComplex(rng.randrange(2, 9), B))
+    succeeded = set()
     for spec in specs:
         group = rng.choice(("E6", "E7", "E8", "Gv"))
         tables = synthetic if group == "Gv" else None
@@ -557,6 +568,10 @@ def test_dispatch_totality():
             continue
         assert isinstance(result, Decomposition)
         assert result.theorem_used
+        # only a complex job is read off a row reduction
+        assert (result.reduction is None) is not isinstance(spec, GeneralComplex)
+        succeeded.add(type(spec))
+    assert len(succeeded) == 4
 
 
 def test_n2_constructor_rejects_bad_top_sphere_case():

@@ -13,7 +13,7 @@ from gaugekit.exact import CyclicElem
 from gaugekit.groups import TRIVIAL, FGAbelianGroup
 from gaugekit.jobfile import Job
 from gaugekit.manifolds import GeneralComplex, N2Manifold, SigmaFCase, SphereBundle, WallManifold
-from gaugekit.modmatrix import AttachingMatrix, F2Matrix, ReductionReport, RowOp
+from gaugekit.modmatrix import AttachingMatrix, F2Matrix, ReductionReport, RowOp, reduce_with_report
 from gaugekit.spaces import (
     AttachedComplex,
     Gauge,
@@ -181,6 +181,16 @@ def test_table_entry_ignores_its_condition():
     assert always == never and hash(always) == hash(never)
     assert "condition" not in repr(always)
     assert always.matches({"n": 3}, 3) and not never.matches({"n": 3}, 3)
+
+
+def test_decomposition_ignores_its_reduction_but_copies_keep_it():
+    plain = SAMPLES["Decomposition"][0]()
+    reduction = reduce_with_report(AttachingMatrix.from_rows([[2], [3]], 24))
+    kept = Decomposition(S3, Gauge(S4), "t", reduction=reduction)
+    assert plain.reduction is None and kept.reduction is reduction
+    assert kept == plain and hash(kept) == hash(plain) and repr(kept) == repr(plain)
+    for again in (copy.copy(kept), copy.deepcopy(kept), pickle.loads(pickle.dumps(kept))):
+        assert again.reduction == reduction
 
 
 @pytest.mark.parametrize("name", NAMES)
