@@ -6,7 +6,6 @@ from .groups import FGAbelianGroup
 from .modmatrix import (
     AttachingMatrix,
     F2Matrix,
-    ReductionReport,
     RowOp,
     apply_rowop,
     nonzero_column_count,

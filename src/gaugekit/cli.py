@@ -51,15 +51,15 @@ def _trace_lines(result) -> Iterator[str]:
     if result.reduction is None:
         yield "trace: no row-operation log for this job kind"
         return
-    reduced, report = result.reduction
+    reduced, notes = result.reduction
     # one unit operation a line: `add a b k` is printed as k lines `add a b`
     yield f"trace: {sum(op.k for op in reduced.oplog)} row operations"
     for op in reduced.oplog:
         unit = f"  {RowOp(op.kind, op.a, op.b)}"
         for _ in range(op.k):
             yield unit
-    yield f"trace: diagonal {list(report.pivots)}"
-    for note in report.notes:
+    yield f"trace: diagonal {list(reduced.diagonal)}"
+    for note in notes:
         yield f"trace: note: {note}"
     orbit = rowop_orbit(reduced.initial, reduced.moduli)
     if orbit is None:

@@ -12,9 +12,7 @@ from typing import Iterable
 
 from .exact import CyclicElem, is_prime, subgroup_generator
 from .manifolds import GeneralComplex, N2Manifold, SigmaFCase, SphereBundle, WallManifold
-from .modmatrix import (
-    AttachingMatrix, ReductionReport, nonzero_column_count, rank_f2, reduce_with_report
-)
+from .modmatrix import AttachingMatrix, nonzero_column_count, rank_f2, reduce_with_report
 from .spaces import (
     LieGroup,
     MappingSpace,
@@ -71,8 +69,9 @@ class CaseInapplicableError(DecompositionError):
 class Decomposition(Value):
     """A suspension splitting together with the matching gauge-group product,
     the rule that produced them, and the localization applied.  A complex
-    job's `reduction` is the `reduce_with_report` pair it was read off; it is
-    left out of equality, hashing and the repr, and None for other kinds."""
+    job's `reduction` is the `(reduced, notes)` pair of `reduce_with_report`
+    it was read off, whose pivots are `reduced.diagonal`; it is left out of
+    equality, hashing and the repr, and None for other kinds."""
 
     __slots__ = ("suspension", "gauge", "theorem_used", "localized_away", "base_space", "reduction")
     _fields = __slots__[:-1]
@@ -81,7 +80,7 @@ class Decomposition(Value):
     theorem_used: str
     localized_away: frozenset[int]
     base_space: SpaceExpr | None
-    reduction: tuple[AttachingMatrix, ReductionReport] | None
+    reduction: tuple[AttachingMatrix, tuple[str, ...]] | None
 
     def __init__(
         self,
@@ -90,7 +89,7 @@ class Decomposition(Value):
         theorem_used: str,
         localized_away: frozenset[int] = frozenset(),
         base_space: SpaceExpr | None = None,
-        reduction: tuple[AttachingMatrix, ReductionReport] | None = None,
+        reduction: tuple[AttachingMatrix, tuple[str, ...]] | None = None,
     ) -> None:
         set_field(self, "suspension", suspension)
         set_field(self, "gauge", gauge)
@@ -134,7 +133,7 @@ def _split(
     theorem: str,
     away: frozenset[int] = frozenset(),
     base_space: SpaceExpr | None = None,
-    reduction: tuple[AttachingMatrix, ReductionReport] | None = None,
+    reduction: tuple[AttachingMatrix, tuple[str, ...]] | None = None,
 ) -> Decomposition:
     """The splitting rule: a suspension splitting Sigma(base) v (wedge of
     Sigma X) gives G_label(base) x (product of Map*(X, G)), where X = S^k
@@ -444,11 +443,13 @@ def decompose(
     tables: Tables | None = None,
 ) -> Decomposition:
     """Dispatch on the input kind.  Every variant either produces a
-    Decomposition or raises a typed error."""
+    Decomposition or raises a typed error.  `localize_away` is checked
+    first, so a bad entry raises ValueError before any theorem runs."""
+    away = _away(localize_away)
     if isinstance(manifold, WallManifold):
-        return gauge_decompose_wall(manifold, group, localize_away, tables)
+        return gauge_decompose_wall(manifold, group, away, tables)
     if isinstance(manifold, N2Manifold):
-        return gauge_decompose_n2(manifold, group, localize_away, tables)
+        return gauge_decompose_n2(manifold, group, away, tables)
     if isinstance(manifold, SphereBundle):
         d = gauge_decompose_sphere_bundle(manifold, group, tables)
     elif isinstance(manifold, GeneralComplex):
@@ -456,7 +457,6 @@ def decompose(
     else:
         raise TypeError(f"not a manifold or complex description: {manifold!r}")
     # these theorems are integral; localization splits their results afterwards
-    away = _away(localize_away)
     if not away:
         return d
     return Decomposition(

@@ -22,7 +22,6 @@ from .value import Value, set_field
 __all__ = [
     "RowOp",
     "AttachingMatrix",
-    "ReductionReport",
     "F2Matrix",
     "apply_rowop",
     "replay_oplog",
@@ -94,18 +93,6 @@ class RowOp(Value):
             return f"add {self.a} {self.b} {self.k}"
         return f"{self.kind} {self.a} {self.b}"
 
-    @classmethod
-    def parse(cls, line: str) -> "RowOp":
-        parts = line.split()
-        if not parts:
-            raise ValueError("empty row-operation line")
-        kind, idx = parts[0], [int(p) for p in parts[1:]]
-        if kind == "negate" and len(idx) == 1:
-            return cls.negate(idx[0])
-        if (kind, len(idx)) in (("swap", 2), ("add", 2), ("add", 3)):
-            return cls(kind, *idx)
-        raise ValueError(f"malformed row-operation line {line!r}")
-
 
 def _apply_inplace(rows: list[list[int]], moduli: Sequence[int], op: RowOp) -> None:
     a = op.a - 1
@@ -122,9 +109,12 @@ def _apply_inplace(rows: list[list[int]], moduli: Sequence[int], op: RowOp) -> N
 class AttachingMatrix(Value):
     """An m x r matrix whose column j is valued in Z/moduli[j], together with
     the log of row operations that produced it from the recorded initial
-    matrix.  Immutable; operations return new matrices."""
+    matrix.  Immutable; operations return new matrices.  Two matrices are
+    equal when their moduli and entries are: the log and the initial matrix
+    are left out of equality, hashing and the repr, but copies keep them."""
 
     __slots__ = ("moduli", "entries", "oplog", "initial")
+    _fields = ("moduli", "entries")
     moduli: tuple[int, ...]
     entries: tuple[tuple[int, ...], ...]
     oplog: tuple[RowOp, ...]
@@ -175,15 +165,11 @@ class AttachingMatrix(Value):
     def r(self) -> int:
         return len(self.moduli)
 
-    def entry(self, i: int, j: int) -> CyclicElem:
-        """Entry in row i, column j (1-based), as a residue with its modulus."""
-        return CyclicElem(self.entries[i - 1][j - 1], self.moduli[j - 1])
-
-    def column(self, j: int) -> tuple[CyclicElem, ...]:
-        return tuple(self.entry(i, j) for i in range(1, self.m + 1))
-
-    def oplog_lines(self) -> list[str]:
-        return [str(op) for op in self.oplog]
+    @property
+    def diagonal(self) -> tuple[int, ...]:
+        """The entries (j, j) for j < min(m, r); after a reduction, the
+        attained pivots."""
+        return tuple(row[j] for j, row in zip(range(self.r), self.entries))
 
 
 def apply_rowop(B: AttachingMatrix, op: RowOp) -> AttachingMatrix:
@@ -211,21 +197,9 @@ def replay_oplog(B: AttachingMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
-class ReductionReport(Value):
-    """Diagnostics from a restricted reduction: attained diagonal entries and
-    any discrepancies against the full-column gcd values."""
-
-    __slots__ = ("pivots", "notes")
-    pivots: tuple[int, ...]
-    notes: tuple[str, ...]
-
-    def __init__(self, pivots: tuple[int, ...], notes: tuple[str, ...] = ()) -> None:
-        set_field(self, "pivots", pivots)
-        set_field(self, "notes", notes)
-
-
-def reduce_with_report(B: AttachingMatrix) -> tuple[AttachingMatrix, ReductionReport]:
-    """Reduce to the triangular shape reachable by row operations alone.
+def reduce_with_report(B: AttachingMatrix) -> tuple[AttachingMatrix, tuple[str, ...]]:
+    """Reduce to the triangular shape reachable by row operations alone, and
+    return the reduced matrix with a tuple of notes.
 
     Columns are processed left to right; for column j only rows j..m are
     free (settled pivots are never revisited).  Euclidean row combinations
@@ -233,9 +207,10 @@ def reduce_with_report(B: AttachingMatrix) -> tuple[AttachingMatrix, ReductionRe
     entries at the diagonal.  With at least two free rows the least
     positive generator is always attained; with a single free row only
     negation is available, the attained pivot is min(v, d - v), and any
-    shortfall against the subgroup generator is recorded in the report.
-    Discrepancies between attained diagonals and the full-column gcd of the
-    input are likewise recorded, never corrected.
+    shortfall against the subgroup generator is noted.  The attained pivots
+    are the reduced matrix's `diagonal` (0 for a column with no nonzero
+    free entry); where one differs from the full-column gcd of the input,
+    that is noted too, never corrected.
 
     Each Euclidean step ``row i -= q * row p`` is logged as ``negate p``,
     ``add i p q``, ``negate p``, and staging a pivot's inverse k is one
@@ -244,12 +219,9 @@ def reduce_with_report(B: AttachingMatrix) -> tuple[AttachingMatrix, ReductionRe
     every ``add a b k`` into k unit adds gives the unit-operation log.
     """
     m, r = B.m, B.r
-    full_column_gcd = [gcd_mod(B.column(j)) for j in range(1, r + 1)]
-
     rows = [list(row) for row in B.entries]
     ops: list[RowOp] = []
     notes: list[str] = []
-    pivots: list[int] = []
 
     def do(op: RowOp) -> None:
         _apply_inplace(rows, B.moduli, op)
@@ -281,7 +253,6 @@ def reduce_with_report(B: AttachingMatrix) -> tuple[AttachingMatrix, ReductionRe
 
         nz = [(rows[i][j], i) for i in free if rows[i][j] != 0]
         if not nz:
-            pivots.append(0)
             continue
 
         v, p = nz[0]
@@ -306,14 +277,6 @@ def reduce_with_report(B: AttachingMatrix) -> tuple[AttachingMatrix, ReductionRe
                     )
         if p != j:
             do(RowOp.swap(j + 1, p + 1))
-        pivots.append(rows[j][j])
-
-    for j, (got, want) in enumerate(zip(pivots, full_column_gcd), start=1):
-        if got != want:
-            notes.append(
-                f"column {j}: attained diagonal {got} differs from the full-column "
-                f"gcd {want} (earlier pivots consume rows under restricted operations)"
-            )
 
     reduced = AttachingMatrix(
         B.moduli,
@@ -321,7 +284,15 @@ def reduce_with_report(B: AttachingMatrix) -> tuple[AttachingMatrix, ReductionRe
         B.oplog + tuple(ops),
         B.initial,
     )
-    return reduced, ReductionReport(tuple(pivots), tuple(notes))
+    columns = zip(reduced.diagonal, B.moduli, zip(*B.entries))
+    for j, (got, d, column) in enumerate(columns, start=1):
+        want = gcd_mod([CyclicElem(v, d) for v in column])
+        if got != want:
+            notes.append(
+                f"column {j}: attained diagonal {got} differs from the full-column "
+                f"gcd {want} (earlier pivots consume rows under restricted operations)"
+            )
+    return reduced, tuple(notes)
 
 
 def nonzero_column_count(B: AttachingMatrix) -> int:

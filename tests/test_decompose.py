@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -275,10 +276,24 @@ def test_complex_result_keeps_its_reduction_through_localization():
     B = AttachingMatrix.from_rows([[32], [112], [0]], 120)
     d = decompose(GeneralComplex(6, B), "E7", [2])
     assert d.localized_away == frozenset({2})
-    reduced, report = d.reduction
+    reduced, notes = d.reduction
     assert (reduced.initial, reduced.moduli) == (B.entries, B.moduli)
     assert reduced.oplog and replay_oplog(reduced) == reduced.entries == ((8,), (0,), (0,))
-    assert report.pivots == (8,)
+    assert reduced.diagonal == (8,) and notes == ()
+
+
+def test_localize_away_is_checked_before_any_theorem(monkeypatch):
+    def no_reduction(B):
+        raise AssertionError("a reduction ran on a rejected call")
+
+    # the package's `decompose` attribute is the function, not the module
+    monkeypatch.setattr(importlib.import_module("gaugekit.decompose"), "reduce_with_report", no_reduction)
+    # the complex has no splitting, and its reduction would say so first
+    no_split = GeneralComplex(6, AttachingMatrix.from_rows([[1, 0], [0, 1]], (24, 24)))
+    for spec in (no_split, WallManifold.of(10, [0, 0])):
+        with pytest.raises(ValueError) as info:
+            decompose(spec, "E6", [4])
+        assert str(info.value) == "localize_away must contain primes, got 4"
 
 
 # --- sphere bundles --------------------------------------------------------------

@@ -63,10 +63,12 @@ def test_rowop_validation_and_parse():
         RowOp.add(2, 2)
     with pytest.raises(ValueError):
         RowOp("scale", 1)
-    for op in (
-        RowOp.add(2, 1), RowOp.swap(1, 3), RowOp.negate(2), RowOp.add(1, 3, 2), RowOp.add(3, 1, 2**81 + 1)
-    ):
-        assert RowOp.parse(str(op)) == op
+    assert [
+        str(op)
+        for op in (
+            RowOp.add(2, 1), RowOp.swap(1, 3), RowOp.negate(2), RowOp.add(1, 3, 2), RowOp.add(3, 1, 2**81 + 1)
+        )
+    ] == ["add 2 1", "swap 1 3", "negate 2", "add 1 3 2", f"add 3 1 {2**81 + 1}"]
 
 
 def test_rowop_multiplicity():
@@ -80,10 +82,6 @@ def test_rowop_multiplicity():
     assert RowOp.add(2, 1) == RowOp("add", 2, 1, 1)
     assert str(RowOp.add(2, 1)) == "add 2 1"
     assert str(RowOp.add(2, 1, 5)) == "add 2 1 5"
-    assert RowOp.parse("add 2 1 1") == RowOp.add(2, 1)
-    for line in ("add 2 1 0", "add 2 1 -3", "swap 1 2 2", "negate 1 2", "add 1 2 3 4"):
-        with pytest.raises(ValueError):
-            RowOp.parse(line)
     B = AttachingMatrix(moduli=(8, 16), entries=((3, 5), (1, 7)))
     B5 = apply_rowop(B, RowOp.add(1, 2, 5))
     assert rows(B5) == [[0, 8], [1, 7]]
@@ -116,40 +114,40 @@ def test_reduce_example_2_3_mod_240():
 
 def test_reduce_zero_matrix_is_fixed():
     B = AttachingMatrix.from_rows([[0, 0], [0, 0], [0, 0]], 12)
-    R, report = reduce_with_report(B)
+    R, notes = reduce_with_report(B)
     assert rows(R) == rows(B)
-    assert report.pivots == (0, 0)
-    assert report.notes == ()
+    assert R.diagonal == (0, 0)
+    assert notes == ()
 
 
 def test_reduce_example_4_6_mod_8():
     B = AttachingMatrix.from_rows([[4], [6]], 8)
-    R, report = reduce_with_report(B)
+    R, _ = reduce_with_report(B)
     assert rows(R) == [[2], [0]]
-    assert report.pivots == (2,)
-    assert report.pivots[0] == gcd_mod([CyclicElem(4, 8), CyclicElem(6, 8)])
+    assert R.diagonal == (2,)
+    assert R.diagonal[0] == gcd_mod([CyclicElem(4, 8), CyclicElem(6, 8)])
     assert (2, 0) in orbit_of((4, 6), 8)
 
 
 def test_reduce_attains_subgroup_generator_with_two_rows():
     # integer gcd of the entries exceeds the subgroup generator
     B = AttachingMatrix.from_rows([[4], [4]], 6)
-    R, report = reduce_with_report(B)
-    assert report.pivots == (2,)
+    R, _ = reduce_with_report(B)
+    assert R.diagonal == (2,)
     assert rows(R) == [[2], [0]]
     assert least_positive_generator([4, 4], 6) == 2
 
 
 def test_reduce_single_row_negates_to_orbit_minimum_and_logs():
     B = AttachingMatrix.from_rows([[10]], 24)
-    R, report = reduce_with_report(B)
+    R, notes = reduce_with_report(B)
     assert rows(R) == [[10]]  # orbit is {10, 14}; generator 2 unreachable
-    assert any("unreachable" in note for note in report.notes)
+    assert any("unreachable" in note for note in notes)
 
     B2 = AttachingMatrix.from_rows([[9]], 12)
-    R2, report2 = reduce_with_report(B2)
+    R2, notes2 = reduce_with_report(B2)
     assert rows(R2) == [[3]]  # negate reaches the generator here
-    assert not any("unreachable" in note for note in report2.notes)
+    assert not any("unreachable" in note for note in notes2)
 
 
 def test_reduce_multicolumn_triangular_shape():
@@ -165,12 +163,13 @@ def test_reduce_multicolumn_triangular_shape():
         B = AttachingMatrix.from_rows(
             [[rng.randrange(moduli[j]) for j in range(r)] for _ in range(m)], moduli
         )
-        R, report = reduce_with_report(B)
+        R, _ = reduce_with_report(B)
         assert replay_oplog(R) == R.entries
+        assert len(R.diagonal) == min(m, r)
         for j in range(min(m, r)):
             for i in range(j + 1, m):
                 assert R.entries[i][j] == 0, (B.entries, R.entries)
-            assert R.entries[j][j] == report.pivots[j]
+            assert R.entries[j][j] == R.diagonal[j]
 
 
 def test_rowops_preserve_column_subgroups():
@@ -193,8 +192,8 @@ def test_rowops_preserve_column_subgroups():
         op = RowOp.negate(a) if kind == "negate" else RowOp(kind, a, b)
         B2 = apply_rowop(B, op)
         for j in range(1, r + 1):
-            before = subgroup_closure([e.value for e in B.column(j)], moduli[j - 1])
-            after = subgroup_closure([e.value for e in B2.column(j)], moduli[j - 1])
+            before = subgroup_closure([row[j - 1] for row in B.entries], moduli[j - 1])
+            after = subgroup_closure([row[j - 1] for row in B2.entries], moduli[j - 1])
             assert before == after
 
 
@@ -202,13 +201,6 @@ def test_nonzero_column_count_examples():
     assert nonzero_column_count(AttachingMatrix.from_rows([[0, 3], [0, 0]], 8)) == 1
     assert nonzero_column_count(AttachingMatrix.from_rows([[0, 0], [0, 0]], 8)) == 0
     assert nonzero_column_count(AttachingMatrix.from_rows([[1, 1], [1, 1]], 8)) == 2
-
-
-def test_oplog_lines_round_trip():
-    B = AttachingMatrix.from_rows([[2], [3]], 24)
-    R, _ = reduce_with_report(B)
-    lines = R.oplog_lines()
-    assert [RowOp.parse(line) for line in lines] == list(R.oplog)
 
 
 def _unit_lines(oplog):
@@ -238,12 +230,12 @@ def test_compact_log_matches_unary_reference():
             for _ in range(m)
         ]
         B = AttachingMatrix.from_rows(entries, moduli)
-        R, report = reduce_with_report(B)
+        R, notes = reduce_with_report(B)
         want_entries, want_log, want_pivots, want_notes = unary_reduce_with_report(entries, moduli)
         assert _unit_lines(R.oplog) == want_log, (entries, moduli)
         assert R.entries == want_entries
-        assert report.pivots == want_pivots
-        assert report.notes == want_notes
+        assert R.diagonal == want_pivots
+        assert notes == want_notes
         assert replay_oplog(R) == R.entries
         assert len(R.oplog) <= 8 * m * r * (moduli[-1].bit_length() + 2)
 
@@ -259,11 +251,11 @@ def test_reduce_cost_follows_the_bits_of_the_modulus():
     statement = (
         "from gaugekit.modmatrix import AttachingMatrix, reduce_with_report, replay_oplog\n"
         f"for entries, moduli in {cases!r}:\n"
-        "    R, report = reduce_with_report(AttachingMatrix.from_rows(entries, moduli))\n"
+        "    R, notes = reduce_with_report(AttachingMatrix.from_rows(entries, moduli))\n"
         "    assert replay_oplog(R) == R.entries\n"
         "    bound = 8 * len(entries) * len(moduli) * (max(moduli).bit_length() + 2)\n"
         "    assert len(R.oplog) <= bound, (entries, len(R.oplog), bound)\n"
-        "    assert report.pivots[0] == 1, report\n"
+        "    assert R.diagonal[0] == 1, (R, notes)\n"
     )
     assert seconds_in_fresh_interpreter(statement) < 1.0
 

@@ -1,19 +1,22 @@
-"""Value semantics of the 25 immutable model and expression classes: repr
+"""Value semantics of the immutable model and expression classes: repr
 text, equality only within one class, hashing by the compared fields,
 immutability, constructor keywords and defaults, the constructors' error
 texts, and no per-instance `__dict__`."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import gaugekit
 from gaugekit.decompose import Decomposition
 from gaugekit.exact import CyclicElem
 from gaugekit.groups import TRIVIAL, FGAbelianGroup
 from gaugekit.jobfile import Job
 from gaugekit.manifolds import GeneralComplex, N2Manifold, SigmaFCase, SphereBundle, WallManifold
-from gaugekit.modmatrix import AttachingMatrix, F2Matrix, ReductionReport, RowOp, reduce_with_report
+from gaugekit.modmatrix import AttachingMatrix, F2Matrix, RowOp, reduce_with_report
 from gaugekit.spaces import (
     AttachedComplex,
     Gauge,
@@ -28,6 +31,7 @@ from gaugekit.spaces import (
     Wedge,
 )
 from gaugekit.tables import GroupQueryResult, TableEntry
+from gaugekit.value import Value
 
 S3, S4 = Sphere(3), Sphere(4)
 Z = FGAbelianGroup(1)
@@ -87,13 +91,8 @@ SAMPLES = {
     "RowOp": (lambda: RowOp("add", 1, 2, 3), "RowOp(kind='add', a=1, b=2, k=3)", ("add", 1, 2, 3)),
     "AttachingMatrix": (
         lambda: AttachingMatrix((2, 4), ((3, 5),)),
-        "AttachingMatrix(moduli=(2, 4), entries=((1, 1),), oplog=(), initial=((1, 1),))",
-        ((2, 4), ((1, 1),), (), ((1, 1),)),
-    ),
-    "ReductionReport": (
-        lambda: ReductionReport((1, 0), ("n",)),
-        "ReductionReport(pivots=(1, 0), notes=('n',))",
-        ((1, 0), ("n",)),
+        "AttachingMatrix(moduli=(2, 4), entries=((1, 1),))",
+        ((2, 4), ((1, 1),)),
     ),
     "F2Matrix": (lambda: F2Matrix(((0, 1), (1, 0))), "F2Matrix(rows=((0, 1), (1, 0)))", (((0, 1), (1, 0)),)),
     "WallManifold": (
@@ -113,8 +112,7 @@ SAMPLES = {
     ),
     "GeneralComplex": (
         lambda: GeneralComplex(4, B),
-        "GeneralComplex(n=4, B=AttachingMatrix(moduli=(24,), entries=((3,), (5,)), oplog=(), "
-        "initial=((3,), (5,))))",
+        "GeneralComplex(n=4, B=AttachingMatrix(moduli=(24,), entries=((3,), (5,))))",
         (4, B),
     ),
     "TableEntry": (
@@ -145,8 +143,23 @@ SAMPLES = {
 NAMES = sorted(SAMPLES)
 
 
+def _value_classes():
+    """The Value subclasses with fields that the package defines, found after
+    importing every one of its modules."""
+    for module in pkgutil.iter_modules(gaugekit.__path__):
+        importlib.import_module(f"gaugekit.{module.name}")
+    found, todo = set(), [Value]
+    while todo:
+        cls = todo.pop()
+        for sub in cls.__subclasses__():
+            todo.append(sub)
+            if sub._fields and sub.__module__.startswith("gaugekit."):
+                found.add(sub)
+    return found
+
+
 def test_samples_cover_every_value_class():
-    assert len(SAMPLES) == 25
+    assert {type(make()) for make, _, _ in SAMPLES.values()} == _value_classes()
     assert {type(make()).__name__ for make, _, _ in SAMPLES.values()} == set(SAMPLES)
 
 
@@ -191,6 +204,31 @@ def test_decomposition_ignores_its_reduction_but_copies_keep_it():
     assert kept == plain and hash(kept) == hash(plain) and repr(kept) == repr(plain)
     for again in (copy.copy(kept), copy.deepcopy(kept), pickle.loads(pickle.dumps(kept))):
         assert again.reduction == reduction
+        assert again.reduction[0].oplog == reduction[0].oplog
+
+
+def test_attaching_matrices_compare_by_moduli_and_entries():
+    R, _ = reduce_with_report(AttachingMatrix.from_rows([[2], [3]], 24))
+    plain = AttachingMatrix(R.moduli, R.entries)
+    assert R.oplog and R.initial == ((2,), (3,)) != R.entries
+    assert plain.oplog == () and plain.initial == plain.entries
+    assert R == plain and hash(R) == hash(plain) and repr(R) == repr(plain)
+    assert GeneralComplex(4, R) == GeneralComplex(4, plain)
+    assert hash(GeneralComplex(4, R)) == hash(GeneralComplex(4, plain))
+    assert R != AttachingMatrix((12,), R.entries)
+    assert R != AttachingMatrix.from_rows([[0], [1]], 24)
+    # the log and the initial matrix are not compared, but copies keep them
+    for again in (copy.copy(R), copy.deepcopy(R), pickle.loads(pickle.dumps(R))):
+        assert (again.oplog, again.initial) == (R.oplog, R.initial)
+
+
+def test_diagonal_pins():
+    assert AttachingMatrix.from_rows([[1, 2], [3, 4], [5, 6]], 8).diagonal == (1, 4)  # m > r
+    assert AttachingMatrix.from_rows([[1, 2, 3], [4, 5, 6]], 8).diagonal == (1, 5)  # m < r
+    # a column with no nonzero entry keeps a 0 pivot
+    R, notes = reduce_with_report(AttachingMatrix.from_rows([[0, 6], [0, 4], [0, 2]], (4, 8)))
+    assert R.entries == ((0, 6), (0, 2), (0, 0))
+    assert R.diagonal == (0, 2) and notes == ()
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -229,7 +267,6 @@ def test_keywords_and_defaults():
     assert RowOp("negate", 2) == RowOp(kind="negate", a=2, b=0, k=1)
     m = AttachingMatrix(moduli=(4,), entries=((5,),))
     assert m.oplog == () and m.initial == m.entries == ((1,),)
-    assert ReductionReport(pivots=(1,)).notes == ()
     assert WallManifold(n=4, chi=(CyclicElem(0, 24),)).almost_parallelizable is False
     assert SphereBundle(q=1, n=2) == SphereBundle(1, 2, False, False, "")
     assert N2Manifold(n=8, C=F2Matrix.identity(2)).sigma_f_case is SigmaFCase.GENERAL
