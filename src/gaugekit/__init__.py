@@ -52,10 +52,6 @@ from .decompose import (
     NoSplittingError,
     UnsupportedManifoldError,
     decompose,
-    gauge_decompose_complex,
-    gauge_decompose_n2,
-    gauge_decompose_sphere_bundle,
-    gauge_decompose_wall,
     index_e,
     skeleton_split_n2,
     suspension_split_wall,

@@ -7,11 +7,11 @@ Reads a job file (see jobfile), runs the dispatcher, and prints the
 suspension splitting, the gauge decomposition, and the rule used.
 `--trace` prints the row reduction a complex job's decomposition was
 computed from.  `--localize-away` is checked once, before the first job.
-Exit
-codes: 0 success, 2 hypothesis not met (including unsupported inputs and
-inapplicable cases), 3 homotopy group not tabulated, 4 malformed job file
-or table directory, 141 (128 + SIGPIPE) when the reader of standard output
-closes it early.  The table directory can be overridden with
+Give a job file or `--jobs DIR`, not both.  Exit codes: 0 success, 2
+hypothesis not met (including unsupported inputs and inapplicable cases),
+3 homotopy group not tabulated, 4 malformed job file, table directory or
+arguments, 141 (128 + SIGPIPE) when the reader of standard output closes
+it early.  The table directory can be overridden with
 GAUGEKIT_TABLES; it is loaded once, before the first job.
 """
 
@@ -148,6 +148,9 @@ def _main(argv: list[str] | None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 
+    if bool(args.file) == bool(args.jobs):
+        print("error: give exactly one of a job file and --jobs DIR", file=sys.stderr)
+        return EXIT_SCHEMA
     if args.jobs:
         directory = Path(args.jobs)
         if not directory.is_dir():
@@ -164,9 +167,6 @@ def _main(argv: list[str] | None) -> int:
             print(f"== {path.name}")
             worst = max(worst, _run_one(path, args, extra_away))
         return worst
-    if not args.file:
-        print("error: give a job file or --jobs DIR", file=sys.stderr)
-        return EXIT_SCHEMA
     return _run_one(Path(args.file), args, extra_away)
 
 

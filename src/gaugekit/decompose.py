@@ -41,11 +41,7 @@ __all__ = [
     "Decomposition",
     "index_e",
     "suspension_split_wall",
-    "gauge_decompose_wall",
-    "gauge_decompose_complex",
-    "gauge_decompose_sphere_bundle",
     "skeleton_split_n2",
-    "gauge_decompose_n2",
     "decompose",
 ]
 
@@ -217,17 +213,10 @@ def suspension_split_wall(M: WallManifold) -> SpaceExpr:
     return wedge(suspension(1, base), *[Sphere(M.n + 1)] * spheres)
 
 
-def gauge_decompose_wall(
-    M: WallManifold,
-    group: str,
-    localize_away: Iterable[int] = (),
-    tables: Tables | None = None,
-) -> Decomposition:
+def _wall(M: WallManifold, group: str, away: frozenset[int], tables: Tables) -> Decomposition:
     """Product decomposition of the gauge groups of principal bundles over an
     (n-1)-connected 2n-manifold with pi_{n-1}(G) = pi_n(G) = 0 (after the
     requested localization)."""
-    tables = tables or default_tables()
-    away = _away(localize_away)
     n = M.n
     if n < 3:
         raise UnsupportedManifoldError(
@@ -252,15 +241,10 @@ def gauge_decompose_wall(
 
 # --- general two-cone complexes ----------------------------------------------
 
-def gauge_decompose_complex(
-    Zc: GeneralComplex,
-    group: str,
-    tables: Tables | None = None,
-) -> Decomposition:
+def _complex(Zc: GeneralComplex, group: str, tables: Tables) -> Decomposition:
     """Gauge splitting of a wedge-of-n-spheres-with-one-2n-cell complex: each
     zero column of the reduced suspended attaching matrix splits off one
     n-sphere, hence one n-fold loop-group factor."""
-    tables = tables or default_tables()
     n, m = Zc.n, Zc.m
     reduction = reduce_with_report(Zc.B)
     t = nonzero_column_count(reduction[0])
@@ -292,17 +276,12 @@ def gauge_decompose_complex(
 _JW = "James-Whitehead (1954) sphere bundles over spheres"
 
 
-def gauge_decompose_sphere_bundle(
-    E: SphereBundle,
-    group: str,
-    tables: Tables | None = None,
-) -> Decomposition:
+def _sphere_bundle(E: SphereBundle, group: str, tables: Tables) -> Decomposition:
     """Gauge splitting of the total space of a sectioned sphere bundle of an
     oriented plane bundle over a sphere.  A reducible bundle in the stable
     range n <= 2q-1 yields a section automatically, the total space is a
     product of spheres, and the gauge group gains a third factor when
     pi_{q-1}(G) also vanishes."""
-    tables = tables or default_tables()
     q, n = E.q, E.n
     stable_range = n <= 2 * q - 1
     if not E.has_section and not (E.j_xi_trivial and stable_range):
@@ -384,18 +363,11 @@ def skeleton_split_n2(M: N2Manifold) -> SpaceExpr:
     return wedge(*_n2_cells(M.n, c, M.m - c, M.m - c))
 
 
-def gauge_decompose_n2(
-    M: N2Manifold,
-    group: str,
-    localize_away: Iterable[int] = (),
-    tables: Tables | None = None,
-) -> Decomposition:
+def _n2(M: N2Manifold, group: str, away: frozenset[int], tables: Tables) -> Decomposition:
     """Gauge decomposition over (n-2)-connected 2n-manifolds for the two
     exceptional cases (n, G) = (6, E7) and (8, E8), by the user-selected
     case of the suspended top attaching map; away from 2 the suspended
     projective planes split, which is the null case with c = 0."""
-    tables = tables or default_tables()
-    away = _away(localize_away)
     n, m = M.n, M.m
     if (n, group) not in ((6, "E7"), (8, "E8")):
         raise UnsupportedManifoldError(
@@ -442,18 +414,22 @@ def decompose(
     localize_away: Iterable[int] = (),
     tables: Tables | None = None,
 ) -> Decomposition:
-    """Dispatch on the input kind.  Every variant either produces a
-    Decomposition or raises a typed error.  `localize_away` is checked
-    first, so a bad entry raises ValueError before any theorem runs."""
+    """The one way in: dispatch on the input kind to the theorem for it.
+    Every variant either produces a Decomposition or raises a typed error.
+    `group` and `localize_away` are checked first, so a name outside the
+    group grammar or a non-prime entry raises ValueError before any theorem
+    runs; `tables` defaults to the packaged tables."""
+    LieGroup(group)
     away = _away(localize_away)
+    tables = tables or default_tables()
     if isinstance(manifold, WallManifold):
-        return gauge_decompose_wall(manifold, group, away, tables)
+        return _wall(manifold, group, away, tables)
     if isinstance(manifold, N2Manifold):
-        return gauge_decompose_n2(manifold, group, away, tables)
+        return _n2(manifold, group, away, tables)
     if isinstance(manifold, SphereBundle):
-        d = gauge_decompose_sphere_bundle(manifold, group, tables)
+        d = _sphere_bundle(manifold, group, tables)
     elif isinstance(manifold, GeneralComplex):
-        d = gauge_decompose_complex(manifold, group, tables)
+        d = _complex(manifold, group, tables)
     else:
         raise TypeError(f"not a manifold or complex description: {manifold!r}")
     # these theorems are integral; localization splits their results afterwards

@@ -7,7 +7,7 @@ import random
 import time
 from math import gcd
 
-from gaugekit.decompose import gauge_decompose_n2, gauge_decompose_sphere_bundle, gauge_decompose_wall
+from gaugekit.decompose import decompose
 from gaugekit.exact import CyclicElem, bernoulli, gcd_mod, imj_order
 from gaugekit.groups import FGAbelianGroup
 from gaugekit.manifolds import N2Manifold, SigmaFCase, SphereBundle, WallManifold
@@ -189,57 +189,57 @@ def _golden(name):
 def test_criterion_5_theorem_reproduction():
     start = time.perf_counter()
     cases = {
-        "prop_e6_n5_m3": lambda: gauge_decompose_wall(WallManifold.of(5, [0, 0, 0]), "E6"),
-        "prop_e7_n6_m2": lambda: gauge_decompose_wall(WallManifold.of(6, [0, 0]), "E7"),
-        "prop_e8_n8_null_m3": lambda: gauge_decompose_wall(WallManifold.of(8, [0, 0, 0]), "E8"),
-        "prop_e8_n8_nonnull_m3": lambda: gauge_decompose_wall(WallManifold.of(8, [1, 0, 0]), "E8"),
-        "prop_ap_away15_m2": lambda: gauge_decompose_wall(
+        "prop_e6_n5_m3": lambda: decompose(WallManifold.of(5, [0, 0, 0]), "E6"),
+        "prop_e7_n6_m2": lambda: decompose(WallManifold.of(6, [0, 0]), "E7"),
+        "prop_e8_n8_null_m3": lambda: decompose(WallManifold.of(8, [0, 0, 0]), "E8"),
+        "prop_e8_n8_nonnull_m3": lambda: decompose(WallManifold.of(8, [1, 0, 0]), "E8"),
+        "prop_ap_away15_m2": lambda: decompose(
             WallManifold.of(8, [120, 80], almost_parallelizable=True), "E8", [3, 5]
         ),
-        "prop_sp_n10_m3_r5": lambda: gauge_decompose_wall(WallManifold.of(10, [1, 1, 1]), "Sp(5)"),
-        "prop_sp_n10_m3_r5_away2": lambda: gauge_decompose_wall(
+        "prop_sp_n10_m3_r5": lambda: decompose(WallManifold.of(10, [1, 1, 1]), "Sp(5)"),
+        "prop_sp_n10_m3_r5_away2": lambda: decompose(
             WallManifold.of(10, [1, 1, 1]), "Sp(5)", [2]
         ),
-        "prop_spin_n10_m2_r21_away2": lambda: gauge_decompose_wall(
+        "prop_spin_n10_m2_r21_away2": lambda: decompose(
             WallManifold.of(10, [1, 1]), "Spin(21)", [2]
         ),
-        "thm_bundle_q5_n6": lambda: gauge_decompose_sphere_bundle(
+        "thm_bundle_q5_n6": lambda: decompose(
             SphereBundle(q=5, n=6, has_section=True), "E6"
         ),
-        "cor_bundle_reducible_q5_n6": lambda: gauge_decompose_sphere_bundle(
+        "cor_bundle_reducible_q5_n6": lambda: decompose(
             SphereBundle(q=5, n=6, j_xi_trivial=True), "E6"
         ),
-        "thm12_general_m4_c2": lambda: gauge_decompose_n2(
+        "thm12_general_m4_c2": lambda: decompose(
             N2Manifold(6, _diag_bits(4, 2), SigmaFCase.GENERAL), "E7"
         ),
-        "thm12_cp2_m4_c2": lambda: gauge_decompose_n2(
+        "thm12_cp2_m4_c2": lambda: decompose(
             N2Manifold(6, _diag_bits(4, 2), SigmaFCase.IN_SUSPENDED_CP2), "E7"
         ),
-        "thm12_bottom_m4_c2": lambda: gauge_decompose_n2(
+        "thm12_bottom_m4_c2": lambda: decompose(
             N2Manifold(6, _diag_bits(4, 2), SigmaFCase.IN_BOTTOM_SPHERES), "E7"
         ),
-        "thm12_null_m4_c2": lambda: gauge_decompose_n2(
+        "thm12_null_m4_c2": lambda: decompose(
             N2Manifold(6, _diag_bits(4, 2), SigmaFCase.NULL_HOMOTOPIC), "E7"
         ),
-        "thm16_general_m8_c5": lambda: gauge_decompose_n2(
+        "thm16_general_m8_c5": lambda: decompose(
             N2Manifold(8, _diag_bits(8, 5), SigmaFCase.GENERAL), "E8"
         ),
-        "thm16_cp2_m5_c4": lambda: gauge_decompose_n2(
+        "thm16_cp2_m5_c4": lambda: decompose(
             N2Manifold(8, _diag_bits(5, 4), SigmaFCase.IN_SUSPENDED_CP2), "E8"
         ),
-        "thm16_bottom_m4_c1": lambda: gauge_decompose_n2(
+        "thm16_bottom_m4_c1": lambda: decompose(
             N2Manifold(8, _diag_bits(4, 1), SigmaFCase.IN_BOTTOM_SPHERES), "E8"
         ),
-        "thm16_top_m4_c2": lambda: gauge_decompose_n2(
+        "thm16_top_m4_c2": lambda: decompose(
             N2Manifold(8, _diag_bits(4, 2), SigmaFCase.IN_TOP_SPHERE), "E8"
         ),
-        "thm16_null_m4_c2": lambda: gauge_decompose_n2(
+        "thm16_null_m4_c2": lambda: decompose(
             N2Manifold(8, _diag_bits(4, 2), SigmaFCase.NULL_HOMOTOPIC), "E8"
         ),
-        "cor12_away2_m3": lambda: gauge_decompose_n2(
+        "cor12_away2_m3": lambda: decompose(
             N2Manifold(6, _diag_bits(3, 1), SigmaFCase.GENERAL), "E7", [2]
         ),
-        "cor16_away2_m2": lambda: gauge_decompose_n2(
+        "cor16_away2_m2": lambda: decompose(
             N2Manifold(8, _diag_bits(2, 1), SigmaFCase.GENERAL), "E8", [2]
         ),
     }
@@ -310,7 +310,7 @@ def test_criterion_6_invariant_suites():
                 tuples = itertools.chain(structured, rand)
             for chi in tuples:
                 M = WallManifold.of(n, list(chi))
-                dec = gauge_decompose_wall(M, "Gv", (), synthetic)
+                dec = decompose(M, "Gv", (), synthetic)
                 factors = dec.gauge_factors()
                 lead = factors[0]
                 assert isinstance(lead, Gauge)

@@ -376,6 +376,19 @@ def test_no_file_and_no_jobs_exits_4(capsys):
     assert code == 4
 
 
+def test_file_and_jobs_together_exits_4(tmp_path, capsys, monkeypatch):
+    samples = Path(__file__).resolve().parents[1] / "sample_jobs"
+    both = ("decompose", str(samples / "wall_e6.job"), "--jobs", str(samples))
+    error = "error: give exactly one of a job file and --jobs DIR\n"
+    assert run(capsys, *both) == (4, "", error)
+    assert run(capsys, "decompose") == (4, "", error)
+    # the tables load first, so their error still comes before this one
+    monkeypatch.setenv("GAUGEKIT_TABLES", str(tmp_path / "missing"))
+    code, out, err = run(capsys, *both)
+    assert code == 4 and out == ""
+    assert err.startswith("error: no *.tbl table files")
+
+
 def test_tables_env_override(tmp_path, capsys, monkeypatch):
     tables_dir = tmp_path / "tables"
     tables_dir.mkdir()

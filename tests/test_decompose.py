@@ -10,10 +10,6 @@ from gaugekit.decompose import (
     NoSplittingError,
     UnsupportedManifoldError,
     decompose,
-    gauge_decompose_complex,
-    gauge_decompose_n2,
-    gauge_decompose_sphere_bundle,
-    gauge_decompose_wall,
     index_e,
     skeleton_split_n2,
     suspension_split_wall,
@@ -101,17 +97,17 @@ def test_suspension_split_rejects_n2():
 # --- gauge decompositions over (n-1)-connected 2n-manifolds --------------------
 
 def test_wall_e6_n5():
-    d = gauge_decompose_wall(WallManifold.of(5, [0, 0, 0]), "E6")
+    d = decompose(WallManifold.of(5, [0, 0, 0]), "E6")
     assert render_text(d.gauge) == "G_k(S^10) x Omega^5 E6 x Omega^5 E6 x Omega^5 E6"
 
 
 def test_wall_e8_null_attaching():
-    d = gauge_decompose_wall(WallManifold.of(8, [0, 0, 0]), "E8")
+    d = decompose(WallManifold.of(8, [0, 0, 0]), "E8")
     assert d.gauge == product(gauge(Sphere(16), "k"), *(loop(8, LieGroup("E8")) for _ in range(3)))
 
 
 def test_wall_e8_nonnull_attaching():
-    d = gauge_decompose_wall(WallManifold.of(8, [120, 80]), "E8")
+    d = decompose(WallManifold.of(8, [120, 80]), "E8")
     base = two_cell(8, CyclicElem(40, 240))
     assert d.gauge == product(gauge(base, "k"), loop(8, LieGroup("E8")))
     assert d.suspension == wedge(suspension(1, base), Sphere(9))
@@ -119,22 +115,22 @@ def test_wall_e8_nonnull_attaching():
 
 def test_wall_almost_parallelizable_away_15():
     M = WallManifold.of(8, [120, 80], almost_parallelizable=True)
-    d = gauge_decompose_wall(M, "E8", [3, 5])
+    d = decompose(M, "E8", [3, 5])
     assert d.gauge == product(gauge(Sphere(16), "k"), loop(8, LieGroup("E8")), loop(8, LieGroup("E8")))
     assert d.localized_away == frozenset({3, 5})
     # without the flag the two-cell survives localization away from 15
-    d2 = gauge_decompose_wall(WallManifold.of(8, [120, 80]), "E8", [3, 5])
+    d2 = decompose(WallManifold.of(8, [120, 80]), "E8", [3, 5])
     assert isinstance(gauge_factors(d2)[0].base, TwoCell)
 
 
 def test_wall_mod2_away_from_2():
     # n = 10 is 2 mod 8; Sp(5) has pi_9 = pi_10 = 0 in the stable range
     M = WallManifold.of(10, [1, 1])
-    d_int = gauge_decompose_wall(M, "Sp(5)")
+    d_int = decompose(M, "Sp(5)")
     assert d_int.gauge == product(
         gauge(two_cell(10, CyclicElem(1, 2)), "k"), loop(10, LieGroup("Sp(5)"))
     )
-    d_away = gauge_decompose_wall(M, "Sp(5)", [2])
+    d_away = decompose(M, "Sp(5)", [2])
     assert d_away.gauge == product(
         gauge(Sphere(20), "k"), loop(10, LieGroup("Sp(5)")), loop(10, LieGroup("Sp(5)"))
     )
@@ -144,9 +140,9 @@ def test_wall_spin_needs_localization():
     # pi_9(Spin(21)) = Z/2 integrally, so the integral hypothesis fails
     M = WallManifold.of(10, [1, 1])
     with pytest.raises(HypothesisNotMetError) as err:
-        gauge_decompose_wall(M, "Spin(21)")
+        decompose(M, "Spin(21)")
     assert err.value.degree == 9
-    d = gauge_decompose_wall(M, "Spin(21)", [2])
+    d = decompose(M, "Spin(21)", [2])
     assert d.gauge == product(
         gauge(Sphere(20), "k"), loop(10, LieGroup("Spin(21)")), loop(10, LieGroup("Spin(21)"))
     )
@@ -155,15 +151,15 @@ def test_wall_spin_needs_localization():
 def test_wall_hypothesis_and_table_failures():
     # pi_9(E6) = Z breaks the n = 10 hypothesis outright
     with pytest.raises(HypothesisNotMetError):
-        gauge_decompose_wall(WallManifold.of(10, [0, 0]), "E6")
+        decompose(WallManifold.of(10, [0, 0]), "E6")
     # pi_11(E6) is not tabulated (12-manifold case)
     with pytest.raises(NotTabulatedError):
-        gauge_decompose_wall(WallManifold.of(6, [0, 0]), "E6")
+        decompose(WallManifold.of(6, [0, 0]), "E6")
 
 
 def test_wall_n2_unsupported():
     with pytest.raises(UnsupportedManifoldError):
-        gauge_decompose_wall(WallManifold.of(2, [0]), "E6")
+        decompose(WallManifold.of(2, [0]), "E6")
 
 
 def test_wall_case_consistency_away_from_2():
@@ -172,8 +168,8 @@ def test_wall_case_consistency_away_from_2():
     for n in (9, 10, 17, 18):
         M = WallManifold.of(n, [1, 0, 1])
         synthetic = Tables.from_lines(["Gv, -, 1..60, 0, -, -, synthetic vanishing group"])
-        d_int = gauge_decompose_wall(M, "Gv", (), synthetic)
-        d_away = gauge_decompose_wall(M, "Gv", [2], synthetic)
+        d_int = decompose(M, "Gv", (), synthetic)
+        d_away = decompose(M, "Gv", [2], synthetic)
         base = gauge_factors(d_int)[0].base
         assert isinstance(base, TwoCell)
         assert localize(base, {2}) == wedge(Sphere(n), Sphere(2 * n))
@@ -193,7 +189,7 @@ def test_wall_factor_bookkeeping_small():
             for _ in range(20):
                 chi = [rng.randrange(d) for _ in range(m)]
                 M = WallManifold.of(n, chi)
-                dec = gauge_decompose_wall(M, "Gv", (), synthetic)
+                dec = decompose(M, "Gv", (), synthetic)
                 loops = loop_factors(dec)
                 assert all(f.power == n for f in loops)
                 lead = gauge_factors(dec)[0]
@@ -231,7 +227,7 @@ _AQ = "stable J-image orders after Adams (1966) and Quillen (1971)"
 def test_wall_theorem_text_of_every_branch(n, chi, ap, group, away, splits, theorem):
     tables = Tables.from_lines(["Gv, -, 1..60, 0, -, -, synthetic vanishing group"])
     M = WallManifold.of(n, chi, ap)
-    dec = gauge_decompose_wall(M, group, away, None if group == "E8" else tables)
+    dec = decompose(M, group, away, None if group == "E8" else tables)
     assert dec.theorem_used == _WALL + theorem
     assert isinstance(gauge_factors(dec)[0].base, Sphere) == splits
     assert len(loop_factors(dec)) == (2 if splits else 1)
@@ -241,13 +237,13 @@ def test_wall_theorem_text_of_every_branch(n, chi, ap, group, away, splits, theo
 
 def test_complex_zero_matrix_every_sphere_splits():
     B = AttachingMatrix.from_rows([[0], [0], [0]], 24)
-    d = gauge_decompose_complex(GeneralComplex(6, B), "E7")
+    d = decompose(GeneralComplex(6, B), "E7")
     assert d.gauge == product(gauge(Sphere(12), "alpha"), *(loop(6, LieGroup("E7")) for _ in range(3)))
 
 
 def test_complex_single_nonzero_column_counts():
     B = AttachingMatrix.from_rows([[2], [3], [0]], 24)
-    d = gauge_decompose_complex(GeneralComplex(6, B), "E7")
+    d = decompose(GeneralComplex(6, B), "E7")
     loops = loop_factors(d)
     assert len(loops) == 2  # m - t = 3 - 1
     assert gauge_factors(d)[0].base == attached(Sphere(6), 12)
@@ -256,7 +252,7 @@ def test_complex_single_nonzero_column_counts():
 def test_complex_no_splitting_when_all_columns_survive():
     B = AttachingMatrix.from_rows([[1, 0], [0, 1]], (24, 24))
     with pytest.raises(NoSplittingError):
-        gauge_decompose_complex(GeneralComplex(6, B), "E7")
+        decompose(GeneralComplex(6, B), "E7")
 
 
 def test_complex_counts_use_reduced_matrix():
@@ -265,8 +261,8 @@ def test_complex_counts_use_reduced_matrix():
     # and the splitting hypothesis t < m still fails at m = 2
     B = AttachingMatrix.from_rows([[2, 2], [2, 2]], (8, 8))
     with pytest.raises(NoSplittingError):
-        gauge_decompose_complex(GeneralComplex(4, B), "E8")
-    d = gauge_decompose_complex(
+        decompose(GeneralComplex(4, B), "E8")
+    d = decompose(
         GeneralComplex(8, AttachingMatrix.from_rows([[0, 0], [0, 0], [2, 6]], (8, 8))), "E8"
     )
     assert len(loop_factors(d)) == 1  # m - t = 3 - 2
@@ -294,13 +290,25 @@ def test_localize_away_is_checked_before_any_theorem(monkeypatch):
         with pytest.raises(ValueError) as info:
             decompose(spec, "E6", [4])
         assert str(info.value) == "localize_away must contain primes, got 4"
+        # a sphere is not a structure group, though the tables know it
+        with pytest.raises(ValueError) as info:
+            decompose(spec, "S^5")
+        assert str(info.value) == "group must be a Lie group name NAME or NAME(INT), got 'S^5'"
+
+
+def test_primes_are_checked_once(monkeypatch):
+    module = importlib.import_module("gaugekit.decompose")
+    is_prime, calls = module.is_prime, []
+    monkeypatch.setattr(module, "is_prime", lambda p: calls.append(p) or is_prime(p))
+    decompose(WallManifold.of(5, [0, 0, 0]), "E6", [2, 3])
+    assert sorted(calls) == [2, 3]
 
 
 # --- sphere bundles --------------------------------------------------------------
 
 def test_sphere_bundle_with_section():
     E = SphereBundle(q=5, n=6, has_section=True)
-    d = gauge_decompose_sphere_bundle(E, "E6")
+    d = decompose(E, "E6")
     assert d.gauge == product(
         gauge(attached(Sphere(5), 11, "J(xi)"), "alpha"), loop(6, LieGroup("E6"))
     )
@@ -309,7 +317,7 @@ def test_sphere_bundle_with_section():
 
 def test_sphere_bundle_reducible_splits_three_ways():
     E = SphereBundle(q=5, n=6, j_xi_trivial=True)
-    d = gauge_decompose_sphere_bundle(E, "E6")
+    d = decompose(E, "E6")
     assert d.gauge == product(
         gauge(Sphere(11), "alpha"), loop(5, LieGroup("E6")), loop(6, LieGroup("E6"))
     )
@@ -320,14 +328,14 @@ def test_sphere_bundle_reducible_splits_three_ways():
 def test_sphere_bundle_reducible_out_of_range_unsupported():
     E = SphereBundle(q=2, n=6, j_xi_trivial=True)
     with pytest.raises(UnsupportedManifoldError):
-        gauge_decompose_sphere_bundle(E, "E6")
+        decompose(E, "E6")
 
 
 def test_sphere_bundle_reducible_with_section_but_no_pi_q():
     # section given, attach trivial, but pi_{q-1}(G) unknown: the base keeps
     # the split wedge and only the n-loop factor appears
     E = SphereBundle(q=11, n=5, has_section=True, j_xi_trivial=True)
-    d = gauge_decompose_sphere_bundle(E, "E6")  # pi_10(E6) untabulated
+    d = decompose(E, "E6")  # pi_10(E6) untabulated
     assert d.gauge == product(
         gauge(wedge(Sphere(11), Sphere(16)), "alpha"), loop(5, LieGroup("E6"))
     )
@@ -336,7 +344,7 @@ def test_sphere_bundle_reducible_with_section_but_no_pi_q():
 def test_sphere_bundle_hypothesis_failure():
     E = SphereBundle(q=5, n=10, has_section=True)
     with pytest.raises(HypothesisNotMetError):
-        gauge_decompose_sphere_bundle(E, "E6")  # pi_9(E6) = Z
+        decompose(E, "E6")  # pi_9(E6) = Z
 
 
 # --- (n-2)-connected manifolds ----------------------------------------------------
@@ -373,14 +381,14 @@ E8_MAP = loop(5, MappingSpace(SuspCP2(0), LieGroup("E8")))
 
 def test_n2_e7_null_case():
     M = N2Manifold(6, F2Matrix.identity(2), SigmaFCase.NULL_HOMOTOPIC)
-    d = gauge_decompose_n2(M, "E7")
+    d = decompose(M, "E7")
     assert d.gauge == product(gauge(Sphere(12), "k"), E7_MAP, E7_MAP)
 
 
 def test_n2_e7_bottom_spheres_case():
     C = F2Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     M = N2Manifold(6, C, SigmaFCase.IN_BOTTOM_SPHERES)
-    d = gauge_decompose_n2(M, "E7")
+    d = decompose(M, "E7")
     assert d.gauge == product(
         gauge(attached(Sphere(5), 12), "k"),
         E7_MAP,
@@ -393,7 +401,7 @@ def test_n2_e7_bottom_spheres_case():
 
 def test_n2_e8_away_from_2():
     M = N2Manifold(8, F2Matrix.identity(2), SigmaFCase.GENERAL)
-    d = gauge_decompose_n2(M, "E8", [2])
+    d = decompose(M, "E8", [2])
     assert d.gauge == product(
         gauge(Sphere(16), "k"),
         loop(7, LieGroup("E8")),
@@ -410,7 +418,7 @@ def test_n2_e8_top_sphere_suspension_summands():
     # the remaining top-sphere summands suspend into dimension 10
     M = N2Manifold(8, F2Matrix.from_rows([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
                    SigmaFCase.IN_TOP_SPHERE)  # m = 4, c = 1
-    d = gauge_decompose_n2(M, "E8")
+    d = decompose(M, "E8")
     assert d.suspension == wedge(
         suspension(1, attached(Sphere(9), 16)),
         SuspCP2(6),
@@ -433,10 +441,10 @@ def test_n2_case_inapplicable_counts():
     # general case at n = 8 needs c >= 4 and m - c >= 3
     M = N2Manifold(8, F2Matrix.identity(4), SigmaFCase.GENERAL)
     with pytest.raises(CaseInapplicableError):
-        gauge_decompose_n2(M, "E8")
+        decompose(M, "E8")
     M2 = N2Manifold(6, F2Matrix.zero(2), SigmaFCase.IN_SUSPENDED_CP2)  # c = 0
     with pytest.raises(CaseInapplicableError):
-        gauge_decompose_n2(M2, "E7")
+        decompose(M2, "E7")
 
 
 def _diagonal(m: int, c: int) -> F2Matrix:
@@ -484,10 +492,10 @@ def test_n2_case_texts_are_pinned(n, case):
     group, m, c = {6: ("E7", 4, 2), 8: ("E8", 8, 5)}[n]
     setting = f"{group}-gauge decomposition over {n - 2}-connected {2 * n}-manifolds"
     M = N2Manifold(n, _diagonal(m, c), case)
-    d = gauge_decompose_n2(M, group)
+    d = decompose(M, group)
     assert render_text(d.suspension) == _N2_TEXTS[n, case]
     assert d.theorem_used == f"{setting} (case: {case.value})"
-    d = gauge_decompose_n2(M, group, [2])
+    d = decompose(M, group, [2])
     assert render_text(d.suspension) == _N2_AWAY_FROM_2[n]
     assert d.theorem_used == (
         f"{setting}, localized away from 2 (suspended projective planes split)"
@@ -507,7 +515,7 @@ def test_n2_case_texts_are_pinned(n, case):
 def test_n2_negative_count_message_is_pinned(n, m, c, case, count):
     M = N2Manifold(n, _diagonal(m, c), case)
     with pytest.raises(CaseInapplicableError) as err:
-        gauge_decompose_n2(M, {6: "E7", 8: "E8"}[n])
+        decompose(M, {6: "E7", 8: "E8"}[n])
     assert str(err.value) == (
         f"factor count {count} = -1 is negative for rank m={m}, mod-2 rank c={c} in case "
         f"{case.value}; the theorem presupposes nonnegative counts"
@@ -517,7 +525,7 @@ def test_n2_negative_count_message_is_pinned(n, m, c, case, count):
 def test_n2_wrong_group_unsupported():
     M = N2Manifold(6, F2Matrix.identity(2))
     with pytest.raises(UnsupportedManifoldError):
-        gauge_decompose_n2(M, "E8")
+        decompose(M, "E8")
     with pytest.raises(ValueError):
         N2Manifold(7, F2Matrix.identity(2))
     with pytest.raises(ValueError):
@@ -529,7 +537,7 @@ def test_n2_suspension_matches_gauge_counts():
         [[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [1, 0, 1, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]]
     )
     M = N2Manifold(6, C, SigmaFCase.GENERAL)  # c = 3, m = 5
-    d = gauge_decompose_n2(M, "E7")
+    d = decompose(M, "E7")
     maps = [f for f in loop_factors(d) if isinstance(f.space, MappingSpace)]
     low = [f for f in loop_factors(d) if f.power == 5 and isinstance(f.space, LieGroup)]
     high = [f for f in loop_factors(d) if f.power == 7]
