@@ -16,7 +16,7 @@ from collections import deque
 from math import gcd
 from typing import Iterable, Sequence
 
-from .exact import CyclicElem, gcd_mod
+from .exact import subgroup_generator
 from .value import Value, set_field
 
 __all__ = [
@@ -122,13 +122,15 @@ class AttachingMatrix(Value):
 
     def __init__(
         self,
-        moduli: tuple[int, ...],
-        entries: tuple[tuple[int, ...], ...],
+        moduli: Sequence[int],
+        entries: Iterable[Sequence[int]],
         oplog: tuple[RowOp, ...] = (),
         initial: tuple[tuple[int, ...], ...] | None = None,
     ) -> None:
+        entries = tuple(entries)
         if not entries:
             raise ValueError("matrix needs at least one row")
+        moduli = tuple(moduli)
         r = len(moduli)
         for d in moduli:
             if d <= 0:
@@ -155,7 +157,7 @@ class AttachingMatrix(Value):
             raise ValueError("matrix needs at least one row")
         if isinstance(moduli, int):
             moduli = (moduli,) * len(rows[0])
-        return cls(tuple(moduli), rows)
+        return cls(moduli, rows)
 
     @property
     def m(self) -> int:
@@ -212,31 +214,31 @@ def reduce_with_report(B: AttachingMatrix) -> tuple[AttachingMatrix, tuple[str, 
     free entry); where one differs from the full-column gcd of the input,
     that is noted too, never corrected.
 
-    Each Euclidean step ``row i -= q * row p`` is logged as ``negate p``,
-    ``add i p q``, ``negate p``, and staging a pivot's inverse k is one
+    Each Euclidean step ``row i -= q * row p`` changes the rows once and is
+    logged as ``negate p``, ``add i p q``, ``negate p``; `replay_oplog`
+    re-applies all three.  Staging a pivot's inverse k is one
     ``add spare p k``, so the log has O(m * r * log d) entries and the
     reduction takes time polynomial in the bits of the moduli.  Expanding
     every ``add a b k`` into k unit adds gives the unit-operation log.
     """
     m, r = B.m, B.r
+    moduli = B.moduli
     rows = [list(row) for row in B.entries]
+    negate = [RowOp.negate(i) for i in range(1, m + 1)]
     ops: list[RowOp] = []
     notes: list[str] = []
 
-    def do(op: RowOp) -> None:
-        _apply_inplace(rows, B.moduli, op)
-        ops.append(op)
+    def add(i: int, p: int, k: int) -> None:
+        # row i += k * row p, for any integer k
+        rows[i] = [(x + k * y) % d for x, y, d in zip(rows[i], rows[p], moduli)]
 
     def subtract(i: int, p: int, q: int) -> None:
-        # row i -= q * row p, via negate/add/negate
-        if q <= 0:
-            return
-        do(RowOp.negate(p + 1))
-        do(RowOp.add(i + 1, p + 1, q))
-        do(RowOp.negate(p + 1))
+        # row i -= q * row p (q >= 1), logged as negate/add/negate
+        add(i, p, -q)
+        ops.extend((negate[p], RowOp.add(i + 1, p + 1, q), negate[p]))
 
     for j in range(min(m, r)):
-        d = B.moduli[j]
+        d = moduli[j]
         free = range(j, m)
 
         # Euclidean phase: reduce the free entries of column j against each
@@ -261,12 +263,15 @@ def reduce_with_report(B: AttachingMatrix) -> tuple[AttachingMatrix, tuple[str, 
             spare = next((i for i in free if i != p), None)
             if spare is not None:
                 # stage k*v = g (mod d) in the spare row, then clear row p
-                do(RowOp.add(spare + 1, p + 1, pow(v // g, -1, d // g)))
+                k = pow(v // g, -1, d // g)
+                add(spare, p, k)
+                ops.append(RowOp.add(spare + 1, p + 1, k))
                 subtract(p, spare, v // g)
                 p = spare
             else:
                 if d - v < v:
-                    do(RowOp.negate(p + 1))
+                    rows[p] = [-x % n for x, n in zip(rows[p], moduli)]
+                    ops.append(negate[p])
                 attained = rows[p][j]
                 if attained != g:
                     notes.append(
@@ -276,17 +281,19 @@ def reduce_with_report(B: AttachingMatrix) -> tuple[AttachingMatrix, tuple[str, 
                         f"{{{min(v, d - v)}, {max(v, d - v)}}})"
                     )
         if p != j:
-            do(RowOp.swap(j + 1, p + 1))
+            rows[j], rows[p] = rows[p], rows[j]
+            ops.append(RowOp.swap(j + 1, p + 1))
 
     reduced = AttachingMatrix(
-        B.moduli,
+        moduli,
         tuple(tuple(row) for row in rows),
         B.oplog + tuple(ops),
         B.initial,
     )
-    columns = zip(reduced.diagonal, B.moduli, zip(*B.entries))
+    columns = zip(reduced.diagonal, moduli, zip(*B.entries))
     for j, (got, d, column) in enumerate(columns, start=1):
-        want = gcd_mod([CyclicElem(v, d) for v in column])
+        # a single entry is its own gcd: its representatives only grow
+        want = column[0] if m == 1 else subgroup_generator(column, d)
         if got != want:
             notes.append(
                 f"column {j}: attained diagonal {got} differs from the full-column "
@@ -349,7 +356,8 @@ class F2Matrix(Value):
     __slots__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
 
-    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(self, rows: Iterable[Iterable[int]]) -> None:
+        rows = tuple(map(tuple, rows))
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -361,7 +369,7 @@ class F2Matrix(Value):
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "F2Matrix":
-        return cls(tuple(tuple(map(int, row)) for row in rows))
+        return cls([map(int, row) for row in rows])
 
     @classmethod
     def zero(cls, n: int) -> "F2Matrix":

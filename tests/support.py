@@ -3,7 +3,8 @@ Akiyama-Tanigawa and by the Fraction series recurrence, the von
 Staudt-Clausen denominator and the closed-form J-image order over a
 sieve, the exhaustive representative gcd search, brute-force subgroup
 closures, row-operation orbit enumeration (also by list-copying search),
-the restricted reduction with unit row additions only,
+the restricted reduction with unit row additions only and with
+every logged row operation applied as it is logged,
 mod-2 rank by row-space counting, the per-query tree-walking evaluator
 for table records, the factoring forms of invariant factors, localization
 and primality, the expression tokenizer with one named group per token
@@ -323,6 +324,92 @@ def unary_reduce_with_report(entries: Sequence[Sequence[int]], moduli: Sequence[
                 f"gcd {want} (earlier pivots consume rows under restricted operations)"
             )
     return tuple(tuple(row) for row in rows), log, tuple(pivots), tuple(notes)
+
+
+def triple_update_reduce_with_report(B):
+    """The engine's restricted reduction before a Euclidean step became one
+    row update: every logged operation, ``negate p``, ``add i p q``,
+    ``negate p`` included, is applied to the rows as it is logged, and the
+    full-column gcds are taken through `gcd_mod`.  Returns (reduced, notes)
+    exactly as `gaugekit.modmatrix.reduce_with_report` does."""
+    from gaugekit.exact import CyclicElem, gcd_mod
+    from gaugekit.modmatrix import AttachingMatrix, RowOp, _apply_inplace
+
+    m, r = B.m, B.r
+    rows = [list(row) for row in B.entries]
+    ops: list[RowOp] = []
+    notes: list[str] = []
+
+    def do(op: RowOp) -> None:
+        _apply_inplace(rows, B.moduli, op)
+        ops.append(op)
+
+    def subtract(i: int, p: int, q: int) -> None:
+        # row i -= q * row p, via negate/add/negate
+        if q <= 0:
+            return
+        do(RowOp.negate(p + 1))
+        do(RowOp.add(i + 1, p + 1, q))
+        do(RowOp.negate(p + 1))
+
+    for j in range(min(m, r)):
+        d = B.moduli[j]
+        free = range(j, m)
+
+        # Euclidean phase: reduce the free entries of column j against each
+        # other until at most one is nonzero.
+        while True:
+            nz = [(rows[i][j], i) for i in free if rows[i][j] != 0]
+            if len(nz) <= 1:
+                break
+            vp, p = min(nz)
+            for vi, i in nz:
+                if i == p:
+                    continue
+                subtract(i, p, vi // vp)
+
+        nz = [(rows[i][j], i) for i in free if rows[i][j] != 0]
+        if not nz:
+            continue
+
+        v, p = nz[0]
+        g = gcd(v, d)
+        if v != g:
+            spare = next((i for i in free if i != p), None)
+            if spare is not None:
+                # stage k*v = g (mod d) in the spare row, then clear row p
+                do(RowOp.add(spare + 1, p + 1, pow(v // g, -1, d // g)))
+                subtract(p, spare, v // g)
+                p = spare
+            else:
+                if d - v < v:
+                    do(RowOp.negate(p + 1))
+                attained = rows[p][j]
+                if attained != g:
+                    notes.append(
+                        f"column {j + 1}: attained pivot {attained}, but the least "
+                        f"positive generator of the entry subgroup is {g} "
+                        f"(unreachable with a single free row; orbit is "
+                        f"{{{min(v, d - v)}, {max(v, d - v)}}})"
+                    )
+        if p != j:
+            do(RowOp.swap(j + 1, p + 1))
+
+    reduced = AttachingMatrix(
+        B.moduli,
+        tuple(tuple(row) for row in rows),
+        B.oplog + tuple(ops),
+        B.initial,
+    )
+    columns = zip(reduced.diagonal, B.moduli, zip(*B.entries))
+    for j, (got, d, column) in enumerate(columns, start=1):
+        want = gcd_mod([CyclicElem(v, d) for v in column])
+        if got != want:
+            notes.append(
+                f"column {j}: attained diagonal {got} differs from the full-column "
+                f"gcd {want} (earlier pivots consume rows under restricted operations)"
+            )
+    return reduced, tuple(notes)
 
 
 def rank_f2_bruteforce(rows: Sequence[Sequence[int]]) -> int:

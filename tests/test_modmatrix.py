@@ -1,6 +1,8 @@
 import itertools
 import random
+import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -24,8 +26,13 @@ from support import (
     rank_f2_bruteforce,
     seconds_in_fresh_interpreter,
     subgroup_closure,
+    triple_update_reduce_with_report,
     unary_reduce_with_report,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import jobs  # noqa: E402
+import run  # noqa: E402
 
 
 def rows(B):
@@ -92,11 +99,51 @@ def test_rowop_multiplicity():
     assert replay_oplog(B5) == B5.entries
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("scale", 1), "unknown row operation 'scale'"),
+        (("add", 0, 1), "row indices are 1-based"),
+        (("negate", 0), "row indices are 1-based"),
+        (("add", 1, 0), "row indices are 1-based"),
+        (("swap", 2, -1), "row indices are 1-based"),
+        (("add", 2, 2), "add requires two distinct rows"),
+        (("swap", 3, 3), "swap requires two distinct rows"),
+        (("negate", 1, 2), "negate takes a single row index"),
+        (("add", 1, 2, 0), "an add multiplicity must be >= 1"),
+        (("add", 1, 2, -3), "an add multiplicity must be >= 1"),
+        (("swap", 1, 2, 2), "swap takes no multiplicity"),
+        (("negate", 1, 0, 3), "negate takes no multiplicity"),
+        # two faults: the kind, then a, then b (bounds, distinctness or
+        # absence), then k >= 1, then whether the kind takes a k
+        (("scale", 0), "unknown row operation 'scale'"),
+        (("negate", 0, 2), "row indices are 1-based"),
+        (("add", 0, 1, 0), "row indices are 1-based"),
+        (("swap", 1, 0, 5), "row indices are 1-based"),
+        (("add", 2, 2, 0), "add requires two distinct rows"),
+        (("swap", 1, 1, 2), "swap requires two distinct rows"),
+        (("negate", 1, 2, 3), "negate takes a single row index"),
+        (("swap", 1, 2, 0), "an add multiplicity must be >= 1"),
+        (("negate", 1, 0, -1), "an add multiplicity must be >= 1"),
+    ],
+)
+def test_rowop_names_the_first_fault(args, message):
+    with pytest.raises(ValueError) as info:
+        RowOp(*args)
+    assert str(info.value) == message
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError):
         AttachingMatrix(moduli=(8, 4), entries=((1, 1),))  # chain broken
     with pytest.raises(ValueError):
         AttachingMatrix(moduli=(4,), entries=())
+    # rows given as a one-shot iterator are checked like a tuple of rows
+    with pytest.raises(ValueError, match="at least one row"):
+        AttachingMatrix((2,), iter([]))
+    with pytest.raises(ValueError, match="row length"):
+        AttachingMatrix((2,), (row for row in [(1, 1)]))
+    assert AttachingMatrix([4], iter([[5]])) == AttachingMatrix((4,), ((1,),))
     # entries normalize into canonical residues
     B = AttachingMatrix.from_rows([[9], [-1]], 8)
     assert rows(B) == [[1], [7]]
@@ -238,6 +285,56 @@ def test_compact_log_matches_unary_reference():
         assert notes == want_notes
         assert replay_oplog(R) == R.entries
         assert len(R.oplog) <= 8 * m * r * (moduli[-1].bit_length() + 2)
+
+
+def _random_chain(rng: random.Random, r: int) -> list[int]:
+    """A divisibility chain of r moduli whose top is at most 2^64."""
+    bits = 64 // r
+    chain = [rng.randint(1, 2 ** rng.randint(1, bits))]
+    while len(chain) < r:
+        chain.append(chain[-1] * rng.randint(1, 2 ** rng.randint(0, bits)))
+    return chain
+
+
+def _pool_matrices() -> list[AttachingMatrix]:
+    """Every attaching matrix of the seed-1 reduce_bigmod and batch_mixed
+    benchmark pools that the matrix constructor accepts."""
+    specs = jobs.reduce_bigmod(random.Random(1)) + jobs.batch_mixed(random.Random(1), run.BATCH_JOBS)
+    matrices = []
+    for spec in specs:
+        if spec["kind"] == "complex":
+            try:
+                matrices.append(AttachingMatrix.from_rows(spec["B"], spec["moduli"]))
+            except ValueError:
+                pass
+    return matrices
+
+
+def test_one_update_reduction_matches_the_triple_update_oracle():
+    rng = random.Random(20261020)
+    matrices = _pool_matrices()
+    assert len(matrices) > 168 + 400
+    for trial in range(2400):
+        moduli = _random_chain(rng, rng.randint(1, 3))
+        m = rng.randint(1, 6)
+        entries = [
+            [rng.choice((0, 1, -1, rng.randint(-9, 9), rng.randrange(d), rng.randrange(d))) for d in moduli]
+            for _ in range(m)
+        ]
+        B = AttachingMatrix.from_rows(entries, moduli)
+        if trial % 5 == 0 and m > 1:
+            # a matrix that already carries a log keeps its initial matrix
+            B = apply_rowop(B, RowOp.swap(1, m))
+        matrices.append(B)
+    for B in matrices:
+        R, notes = reduce_with_report(B)
+        want, want_notes = triple_update_reduce_with_report(B)
+        assert R.oplog == want.oplog, B
+        assert R.entries == want.entries
+        assert R.initial == want.initial == B.initial
+        assert R.diagonal == want.diagonal
+        assert notes == want_notes
+        assert replay_oplog(R) == R.entries
 
 
 def test_reduce_cost_follows_the_bits_of_the_modulus():

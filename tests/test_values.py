@@ -222,6 +222,20 @@ def test_attaching_matrices_compare_by_moduli_and_entries():
         assert (again.oplog, again.initial) == (R.oplog, R.initial)
 
 
+def test_list_built_values_equal_their_tuple_built_twins():
+    pairs = [
+        (AttachingMatrix([8, 16], [[1, 2], [3, 4]]), AttachingMatrix((8, 16), ((1, 2), (3, 4)))),
+        (AttachingMatrix.from_rows([[9]], [8]), AttachingMatrix((8,), ((1,),))),
+        (F2Matrix([[1, 0], [0, 1]]), F2Matrix.identity(2)),
+        (F2Matrix([(0, 1), [1, 0]]), F2Matrix(((0, 1), (1, 0)))),
+    ]
+    for built, twin in pairs:
+        assert built == twin and hash(built) == hash(twin) and repr(built) == repr(twin)
+        assert {built, twin} == {twin}
+    assert type(pairs[0][0].moduli) is tuple
+    assert all(type(row) is tuple for row in pairs[2][0].rows)
+
+
 def test_diagonal_pins():
     assert AttachingMatrix.from_rows([[1, 2], [3, 4], [5, 6]], 8).diagonal == (1, 4)  # m > r
     assert AttachingMatrix.from_rows([[1, 2, 3], [4, 5, 6]], 8).diagonal == (1, 5)  # m < r
