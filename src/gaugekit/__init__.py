@@ -7,7 +7,6 @@ from .modmatrix import (
     AttachingMatrix,
     F2Matrix,
     RowOp,
-    apply_rowop,
     nonzero_column_count,
     rank_f2,
     reduce_with_report,

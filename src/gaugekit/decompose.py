@@ -83,14 +83,14 @@ class Decomposition(Value):
         suspension: SpaceExpr,
         gauge: SpaceExpr,
         theorem_used: str,
-        localized_away: frozenset[int] = frozenset(),
+        localized_away: Iterable[int] = frozenset(),
         base_space: SpaceExpr | None = None,
         reduction: tuple[AttachingMatrix, tuple[str, ...]] | None = None,
     ) -> None:
         set_field(self, "suspension", suspension)
         set_field(self, "gauge", gauge)
         set_field(self, "theorem_used", theorem_used)
-        set_field(self, "localized_away", localized_away)
+        set_field(self, "localized_away", frozenset(localized_away))
         set_field(self, "base_space", base_space)
         set_field(self, "reduction", reduction)
 

@@ -21,7 +21,8 @@ class FGAbelianGroup(Value):
     free_rank: int
     torsion: tuple[int, ...]
 
-    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()) -> None:
+    def __init__(self, free_rank: int = 0, torsion: Iterable[int] = ()) -> None:
+        torsion = tuple(torsion)
         if free_rank < 0:
             raise ValueError("free rank must be >= 0")
         prev = 1
@@ -54,13 +55,6 @@ class FGAbelianGroup(Value):
             if t > 1:
                 chain.append(t)
         return cls(free_rank, tuple(reversed(chain)))
-
-    @classmethod
-    def cyclic(cls, n: int) -> "FGAbelianGroup":
-        """Z for n = 0, else Z/n."""
-        if n == 0:
-            return cls(1, ())
-        return cls.of(0, (abs(n),))
 
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion

@@ -28,6 +28,7 @@ pops the keys it reads; any left over is a SchemaError.
 from __future__ import annotations
 
 from os import PathLike
+from typing import Iterable
 
 from .exact import is_prime
 from .manifolds import GeneralComplex, N2Manifold, SigmaFCase, SphereBundle, WallManifold
@@ -55,13 +56,13 @@ class Job(Value):
         kind: str,
         spec: WallManifold | SphereBundle | N2Manifold | GeneralComplex,
         group: str,
-        localize_away: frozenset[int],
+        localize_away: Iterable[int],
         fmt: str,
     ) -> None:
         set_field(self, "kind", kind)
         set_field(self, "spec", spec)
         set_field(self, "group", group)
-        set_field(self, "localize_away", localize_away)
+        set_field(self, "localize_away", frozenset(localize_away))
         set_field(self, "fmt", fmt)
 
 

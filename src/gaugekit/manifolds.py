@@ -47,9 +47,10 @@ class WallManifold(Value):
     almost_parallelizable: bool
 
     def __init__(
-        self, n: int, chi: tuple[CyclicElem, ...], almost_parallelizable: bool = False
+        self, n: int, chi: Iterable[CyclicElem], almost_parallelizable: bool = False
     ) -> None:
         d = chi_modulus(n)
+        chi = tuple(chi)
         if not chi:
             raise ValueError("rank must be >= 1 (one residue per cohomology generator)")
         for c in chi:

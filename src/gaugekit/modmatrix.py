@@ -23,7 +23,6 @@ __all__ = [
     "RowOp",
     "AttachingMatrix",
     "F2Matrix",
-    "apply_rowop",
     "replay_oplog",
     "reduce_with_report",
     "nonzero_column_count",
@@ -94,18 +93,6 @@ class RowOp(Value):
         return f"{self.kind} {self.a} {self.b}"
 
 
-def _apply_inplace(rows: list[list[int]], moduli: Sequence[int], op: RowOp) -> None:
-    a = op.a - 1
-    if op.kind == "swap":
-        b = op.b - 1
-        rows[a], rows[b] = rows[b], rows[a]
-    elif op.kind == "add":
-        k = op.k
-        rows[a] = [(x + k * y) % d for x, y, d in zip(rows[a], rows[op.b - 1], moduli)]
-    else:
-        rows[a] = [(-x) % d for x, d in zip(rows[a], moduli)]
-
-
 class AttachingMatrix(Value):
     """An m x r matrix whose column j is valued in Z/moduli[j], together with
     the log of row operations that produced it from the recorded initial
@@ -174,28 +161,27 @@ class AttachingMatrix(Value):
         return tuple(row[j] for j, row in zip(range(self.r), self.entries))
 
 
-def apply_rowop(B: AttachingMatrix, op: RowOp) -> AttachingMatrix:
-    """Apply one row operation, entrywise per column modulus, appending it
-    to the operation log."""
-    if op.a > B.m or (op.kind != "negate" and op.b > B.m):
-        raise ValueError(f"row index out of range for {B.m}-row matrix: {op}")
-    rows = [list(row) for row in B.entries]
-    _apply_inplace(rows, B.moduli, op)
-    return AttachingMatrix(
-        B.moduli,
-        tuple(tuple(row) for row in rows),
-        B.oplog + (op,),
-        B.initial,
-    )
-
-
 def replay_oplog(B: AttachingMatrix) -> tuple[tuple[int, ...], ...]:
     """Re-run the operation log from the recorded initial matrix.  The result
-    must reproduce the entries bit-exactly (certification)."""
-    assert B.initial is not None
+    must reproduce the entries bit-exactly (certification).  This is the
+    one place a log is applied: it raises ValueError when the initial
+    matrix is not m x r, or at the first entry naming a row outside it."""
+    m, r, moduli = B.m, B.r, B.moduli
     rows = [list(row) for row in B.initial]
-    for op in B.oplog:
-        _apply_inplace(rows, B.moduli, op)
+    if len(rows) != m or any(len(row) != r for row in rows):
+        raise ValueError(f"initial matrix must be {m} x {r}, like the entries")
+    for i, op in enumerate(B.oplog, 1):
+        if op.a > m or op.b > m:  # b is 0 for a negate
+            raise ValueError(f"log entry {i} ({op}) names a row outside the {m}-row matrix")
+        a = op.a - 1
+        if op.kind == "swap":
+            b = op.b - 1
+            rows[a], rows[b] = rows[b], rows[a]
+        elif op.kind == "add":
+            k = op.k
+            rows[a] = [(x + k * y) % d for x, y, d in zip(rows[a], rows[op.b - 1], moduli)]
+        else:
+            rows[a] = [(-x) % d for x, d in zip(rows[a], moduli)]
     return tuple(tuple(row) for row in rows)
 
 
@@ -370,10 +356,6 @@ class F2Matrix(Value):
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "F2Matrix":
         return cls([map(int, row) for row in rows])
-
-    @classmethod
-    def zero(cls, n: int) -> "F2Matrix":
-        return cls(tuple((0,) * n for _ in range(n)))
 
     @classmethod
     def identity(cls, n: int) -> "F2Matrix":

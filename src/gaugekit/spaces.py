@@ -23,6 +23,7 @@ name grammar below is the one the parser's tokens are built from.
 from __future__ import annotations
 
 import re
+from typing import Iterable
 
 from .exact import CyclicElem, element_order, prime_to_part
 from .value import Value, set_field
@@ -184,16 +185,16 @@ class Wedge(SpaceExpr):
     __slots__ = ("parts",)
     parts: tuple[SpaceExpr, ...]
 
-    def __init__(self, parts: tuple[SpaceExpr, ...]):
-        set_field(self, "parts", parts)
+    def __init__(self, parts: Iterable[SpaceExpr]):
+        set_field(self, "parts", tuple(parts))
 
 
 class Product(SpaceExpr):
     __slots__ = ("parts",)
     parts: tuple[SpaceExpr, ...]
 
-    def __init__(self, parts: tuple[SpaceExpr, ...]):
-        set_field(self, "parts", parts)
+    def __init__(self, parts: Iterable[SpaceExpr]):
+        set_field(self, "parts", tuple(parts))
 
 
 class Loop(SpaceExpr):

@@ -31,6 +31,7 @@ from pathlib import Path
 from types import CodeType
 
 from .groups import FGAbelianGroup
+from .spaces import NAME
 from .value import Value, set_field
 
 __all__ = [
@@ -190,25 +191,24 @@ def _records(lines: list[str], source: str):
 
 # --- space-name parsing ----------------------------------------------------
 
-_SPHERE = re.compile(r"^S\^(\d+)$")
-_SCP2 = re.compile(r"^SCP2\^(\d+)$")
-_LIE = re.compile(r"^([A-Za-z]+)\((\d+)\)$")
+_SPHERE = re.compile(r"S\^(\d+)")
+_SCP2 = re.compile(r"SCP2\^(\d+)")
+# NAME(INT) in the group-name grammar of `spaces`, which LieGroup checks
+_RANKED = re.compile(rf"({NAME.pattern})\((\d+)\)")
 
 
 def parse_space(space: str) -> tuple[str, dict[str, int]]:
     """Resolve a space name to its table family and parameter bindings."""
     space = space.strip()
-    if space == "S":
-        return "S", {}
-    m = _SPHERE.match(space)
+    m = _SPHERE.fullmatch(space)
     if m:
         return "S^n", {"n": int(m.group(1))}
     if space == "CP^2":
         return "SCP2^k", {"k": 0}
-    m = _SCP2.match(space)
+    m = _SCP2.fullmatch(space)
     if m:
         return "SCP2^k", {"k": int(m.group(1))}
-    m = _LIE.match(space)
+    m = _RANKED.fullmatch(space)
     if m:
         return m.group(1), {"r": int(m.group(2))}
     return space, {}
@@ -231,7 +231,8 @@ _MEMO_CAP = 4096
 
 class Tables:
     """An immutable set of homotopy-group records, loaded once and indexed
-    by family; within a family the first matching record answers.
+    by family; within a family the first matching record whose params are
+    exactly the name's bindings answers, so `E6(3)` reads no `E6` record.
 
     Each instance answers a (space, degree) query once: the record that
     answered is kept in a per-instance memo of at most _MEMO_CAP answers,
@@ -270,7 +271,7 @@ class Tables:
         family, params = parse_space(space)
         for entry in self._families.get(family, ()):
             try:
-                if all(p in params for p in entry.params) and entry.matches(params, degree):
+                if params.keys() == set(entry.params) and entry.matches(params, degree):
                     if len(self._memo) >= _MEMO_CAP:
                         self._memo.clear()
                     self._memo[key] = entry

@@ -333,7 +333,7 @@ def triple_update_reduce_with_report(B):
     full-column gcds are taken through `gcd_mod`.  Returns (reduced, notes)
     exactly as `gaugekit.modmatrix.reduce_with_report` does."""
     from gaugekit.exact import CyclicElem, gcd_mod
-    from gaugekit.modmatrix import AttachingMatrix, RowOp, _apply_inplace
+    from gaugekit.modmatrix import AttachingMatrix, RowOp
 
     m, r = B.m, B.r
     rows = [list(row) for row in B.entries]
@@ -341,7 +341,13 @@ def triple_update_reduce_with_report(B):
     notes: list[str] = []
 
     def do(op: RowOp) -> None:
-        _apply_inplace(rows, B.moduli, op)
+        a, b = op.a - 1, op.b - 1
+        if op.kind == "swap":
+            rows[a], rows[b] = rows[b], rows[a]
+        elif op.kind == "add":
+            rows[a] = [(x + op.k * y) % d for x, y, d in zip(rows[a], rows[b], B.moduli)]
+        else:
+            rows[a] = [-x % d for x, d in zip(rows[a], B.moduli)]
         ops.append(op)
 
     def subtract(i: int, p: int, q: int) -> None:

@@ -350,7 +350,7 @@ def test_sphere_bundle_hypothesis_failure():
 # --- (n-2)-connected manifolds ----------------------------------------------------
 
 def test_skeleton_split_examples():
-    zero = N2Manifold(6, F2Matrix.zero(2))
+    zero = N2Manifold(6, F2Matrix([[0, 0], [0, 0]]))
     assert skeleton_split_n2(zero) == wedge(Sphere(5), Sphere(5), Sphere(7), Sphere(7))
 
     ident = N2Manifold(6, F2Matrix.identity(2))
@@ -442,7 +442,7 @@ def test_n2_case_inapplicable_counts():
     M = N2Manifold(8, F2Matrix.identity(4), SigmaFCase.GENERAL)
     with pytest.raises(CaseInapplicableError):
         decompose(M, "E8")
-    M2 = N2Manifold(6, F2Matrix.zero(2), SigmaFCase.IN_SUSPENDED_CP2)  # c = 0
+    M2 = N2Manifold(6, F2Matrix([[0, 0], [0, 0]]), SigmaFCase.IN_SUSPENDED_CP2)  # c = 0
     with pytest.raises(CaseInapplicableError):
         decompose(M2, "E7")
 

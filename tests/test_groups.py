@@ -59,11 +59,6 @@ def test_localized_away():
     assert not two.localized_away({3}).is_trivial()
 
 
-def test_cyclic_constructor():
-    assert FGAbelianGroup.cyclic(0) == Z
-    assert FGAbelianGroup.cyclic(24) == FGAbelianGroup.of(0, [24])
-
-
 def test_gcd_lcm_forms_match_the_factoring_forms():
     rng = random.Random(5)
     prime_pool = (2, 3, 5, 7, 11, 13, 101)

@@ -11,7 +11,6 @@ from gaugekit.modmatrix import (
     AttachingMatrix,
     F2Matrix,
     RowOp,
-    apply_rowop,
     nonzero_column_count,
     rank_f2,
     reduce_with_report,
@@ -39,30 +38,58 @@ def rows(B):
     return [list(r) for r in B.entries]
 
 
+def replayed(B, *ops):
+    """The rows that `replay_oplog` takes B to under the log `ops`."""
+    return [list(r) for r in replay_oplog(AttachingMatrix(B.moduli, B.entries, ops))]
+
+
 def test_apply_rowop_examples():
+    # each a one-entry log
     B = AttachingMatrix.from_rows([[1], [0]], 24)
-    assert rows(apply_rowop(B, RowOp.add(2, 1))) == [[1], [1]]
+    assert replayed(B, RowOp.add(2, 1)) == [[1], [1]]
 
     B = AttachingMatrix.from_rows([[5], [3]], 8)
-    assert rows(apply_rowop(B, RowOp.negate(1))) == [[3], [3]]
+    assert replayed(B, RowOp.negate(1)) == [[3], [3]]
 
     B = AttachingMatrix(moduli=(4, 8), entries=((2, 1), (0, 3)))
-    assert rows(apply_rowop(B, RowOp.swap(1, 2))) == [[0, 3], [2, 1]]
+    assert replayed(B, RowOp.swap(1, 2)) == [[0, 3], [2, 1]]
 
 
 def test_apply_rowop_appends_to_log_and_replays():
     B = AttachingMatrix.from_rows([[1, 2], [3, 4]], 8)
-    B1 = apply_rowop(B, RowOp.add(1, 2))
-    B2 = apply_rowop(B1, RowOp.negate(2))
-    assert B2.oplog == (RowOp.add(1, 2), RowOp.negate(2))
+    ops = (RowOp.add(1, 2), RowOp.negate(2))
+    assert replayed(B, ops[0]) == [[4, 6], [3, 4]]
+    assert replayed(B, *ops) == [[4, 6], [5, 4]]
+    B2 = AttachingMatrix(B.moduli, [[4, 6], [5, 4]], ops, B.entries)
     assert replay_oplog(B2) == B2.entries
     assert B2.initial == B.entries
 
 
-def test_apply_rowop_rejects_out_of_range():
-    B = AttachingMatrix.from_rows([[1], [0]], 24)
-    with pytest.raises(ValueError):
-        apply_rowop(B, RowOp.add(3, 1))
+@pytest.mark.parametrize(
+    "B, message",
+    [
+        (
+            AttachingMatrix((24,), [(1,), (0,)], (RowOp.negate(2), RowOp.add(3, 1), RowOp.swap(1, 4))),
+            "log entry 2 (add 3 1) names a row outside the 2-row matrix",
+        ),
+        (
+            AttachingMatrix((24,), [(1,), (0,)], (RowOp.swap(1, 2), RowOp.add(1, 3, 5))),
+            "log entry 2 (add 1 3 5) names a row outside the 2-row matrix",
+        ),
+        (
+            AttachingMatrix((24,), [(1,)], (RowOp.negate(2),)),
+            "log entry 1 (negate 2) names a row outside the 1-row matrix",
+        ),
+        (AttachingMatrix((4,), [(1,)], (), ((1,), (2,))), "initial matrix must be 1 x 1, like the entries"),
+        (AttachingMatrix((4, 8), [(1, 2)], (), ((1,),)), "initial matrix must be 1 x 2, like the entries"),
+        (AttachingMatrix((4,), [(1,), (3,)], (), ((1,), ())), "initial matrix must be 2 x 1, like the entries"),
+    ],
+    ids=["add to a missing row", "add from a missing row", "negate", "extra row", "short row", "empty row"],
+)
+def test_replay_rejects_a_bad_row_or_initial_shape(B, message):
+    with pytest.raises(ValueError) as info:
+        replay_oplog(B)
+    assert str(info.value) == message
 
 
 def test_rowop_validation_and_parse():
@@ -90,13 +117,8 @@ def test_rowop_multiplicity():
     assert str(RowOp.add(2, 1)) == "add 2 1"
     assert str(RowOp.add(2, 1, 5)) == "add 2 1 5"
     B = AttachingMatrix(moduli=(8, 16), entries=((3, 5), (1, 7)))
-    B5 = apply_rowop(B, RowOp.add(1, 2, 5))
-    assert rows(B5) == [[0, 8], [1, 7]]
-    unit = B
-    for _ in range(5):
-        unit = apply_rowop(unit, RowOp.add(1, 2))
-    assert unit.entries == B5.entries
-    assert replay_oplog(B5) == B5.entries
+    assert replayed(B, RowOp.add(1, 2, 5)) == [[0, 8], [1, 7]]
+    assert replayed(B, *[RowOp.add(1, 2)] * 5) == [[0, 8], [1, 7]]
 
 
 @pytest.mark.parametrize(
@@ -237,10 +259,10 @@ def test_rowops_preserve_column_subgroups():
         while b == a:
             b = rng.randrange(1, m + 1)
         op = RowOp.negate(a) if kind == "negate" else RowOp(kind, a, b)
-        B2 = apply_rowop(B, op)
+        B2 = replayed(B, op)
         for j in range(1, r + 1):
             before = subgroup_closure([row[j - 1] for row in B.entries], moduli[j - 1])
-            after = subgroup_closure([row[j - 1] for row in B2.entries], moduli[j - 1])
+            after = subgroup_closure([row[j - 1] for row in B2], moduli[j - 1])
             assert before == after
 
 
@@ -324,7 +346,8 @@ def test_one_update_reduction_matches_the_triple_update_oracle():
         B = AttachingMatrix.from_rows(entries, moduli)
         if trial % 5 == 0 and m > 1:
             # a matrix that already carries a log keeps its initial matrix
-            B = apply_rowop(B, RowOp.swap(1, m))
+            ops = (RowOp.swap(1, m),)
+            B = AttachingMatrix(moduli, replay_oplog(AttachingMatrix(moduli, B.entries, ops)), ops, B.entries)
         matrices.append(B)
     for B in matrices:
         R, notes = reduce_with_report(B)
@@ -390,7 +413,7 @@ def test_rowop_orbit_matches_list_copy_search_and_cap_rule():
 
 def test_rank_f2_examples():
     assert rank_f2(F2Matrix.identity(3)) == 3
-    assert rank_f2(F2Matrix.zero(2)) == 0
+    assert rank_f2(F2Matrix([[0, 0], [0, 0]])) == 0
     assert rank_f2(F2Matrix.from_rows([[1, 1], [1, 1]])) == 1
 
 

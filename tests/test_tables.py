@@ -1,5 +1,6 @@
 import ast
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,8 @@ from gaugekit.decompose import decompose
 from gaugekit.groups import FGAbelianGroup
 from gaugekit.manifolds import GeneralComplex, N2Manifold, SigmaFCase, WallManifold
 from gaugekit.modmatrix import AttachingMatrix, F2Matrix
+from gaugekit.render import render_text
+from gaugekit.spaces import LieGroup
 from gaugekit.tables import (
     _MEMO_CAP,
     GroupQueryResult,
@@ -19,7 +22,7 @@ from gaugekit.tables import (
     parse_space,
 )
 
-from support import reference_matches, seconds_in_fresh_interpreter
+from support import NAME_PIECES, reference_matches, seconds_in_fresh_interpreter
 
 Zof = FGAbelianGroup.of
 T = default_tables()
@@ -131,6 +134,44 @@ def test_parse_space():
     assert parse_space("SCP2^6") == ("SCP2^k", {"k": 6})
     assert parse_space("CP^2") == ("SCP2^k", {"k": 0})
     assert parse_space("E7") == ("E7", {})
+
+
+def test_every_ranked_group_name_resolves_to_its_family_and_rank():
+    rng = random.Random(27)
+    names = {"".join(rng.choices(NAME_PIECES, k=rng.randint(1, 4))) for _ in range(3000)}
+    resolved = 0
+    for name in sorted(names):
+        for rank in ("0", "3", "12", "\u0663"):
+            try:
+                LieGroup(f"{name}({rank})")
+            except ValueError:
+                continue
+            assert parse_space(f"{name}({rank})") == (name, {"r": int(rank)})
+            resolved += 1
+    assert resolved > 300
+
+
+def test_families_with_digits_or_underscores_answer_ranked_names():
+    t = Tables.from_lines([
+        "Sp2, r, 4..5, 0, -, r >= 2, a family named with a digit",
+        "Sp2, r, 9, 1, -, r >= 2, a family named with a digit",
+        "Spin_x, r, 3..5, 0, 2, -, a family named with an underscore",
+    ])
+    assert t.pi("Sp2(3)", 9) == GroupQueryResult(Zof(1), "a family named with a digit")
+    assert t.pi("Spin_x(7)", 5).group == Zof(0, [2])
+    with pytest.raises(NotTabulatedError):
+        t.pi("Sp2(1)", 9)
+    d = decompose(WallManifold.of(5, [0, 0]), "Sp2(3)", tables=t)
+    assert render_text(d.gauge) == "G_k(S^10) x Omega^5 Sp2(3) x Omega^5 Sp2(3)"
+
+
+@pytest.mark.parametrize("space, degree", [("E6(3)", 9), ("S(3)", 3), ("Sp", 3), ("E6(3)", 4)])
+def test_a_record_answers_only_names_that_bind_exactly_its_params(space, degree):
+    # a rank on an unranked family is not ignored, nor a missing rank guessed
+    family = space.split("(")[0]
+    assert T._families[family]
+    with pytest.raises(NotTabulatedError):
+        T.pi(space, degree)
 
 
 def test_extension_tables_via_env(tmp_path, monkeypatch):

@@ -228,12 +228,19 @@ def test_list_built_values_equal_their_tuple_built_twins():
         (AttachingMatrix.from_rows([[9]], [8]), AttachingMatrix((8,), ((1,),))),
         (F2Matrix([[1, 0], [0, 1]]), F2Matrix.identity(2)),
         (F2Matrix([(0, 1), [1, 0]]), F2Matrix(((0, 1), (1, 0)))),
+        (FGAbelianGroup(0, [2]), FGAbelianGroup(0, (2,))),
+        (WallManifold(5, [CyclicElem(0, 1)]), WallManifold(5, (CyclicElem(0, 1),))),
+        (Wedge([S3, S4]), Wedge((S3, S4))),
+        (Product([S3, S4]), Product((S3, S4))),
+        (Decomposition(S3, S4, "t", {2, 3}), Decomposition(S3, S4, "t", frozenset({2, 3}))),
+        (Job("sphere_bundle", BUNDLE, "E6", {2}, "text"), Job("sphere_bundle", BUNDLE, "E6", frozenset({2}), "text")),
     ]
     for built, twin in pairs:
         assert built == twin and hash(built) == hash(twin) and repr(built) == repr(twin)
         assert {built, twin} == {twin}
     assert type(pairs[0][0].moduli) is tuple
     assert all(type(row) is tuple for row in pairs[2][0].rows)
+    assert type(pairs[6][0].parts) is tuple and type(pairs[9][0].localize_away) is frozenset
 
 
 def test_diagonal_pins():
