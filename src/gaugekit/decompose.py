@@ -418,10 +418,13 @@ def decompose(
     Every variant either produces a Decomposition or raises a typed error.
     `group` and `localize_away` are checked first, so a name outside the
     group grammar or a non-prime entry raises ValueError before any theorem
-    runs; `tables` defaults to the packaged tables."""
+    runs; `tables` defaults to the packaged tables.  A group whose family
+    the tables do not declare a structure group raises NotTabulatedError
+    next, before any theorem runs."""
     LieGroup(group)
     away = _away(localize_away)
     tables = tables or default_tables()
+    tables.require_group(group)
     if isinstance(manifold, WallManifold):
         return _wall(manifold, group, away, tables)
     if isinstance(manifold, N2Manifold):

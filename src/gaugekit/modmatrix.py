@@ -302,35 +302,68 @@ def rowop_orbit(
     max_states: int = 50_000,
 ) -> frozenset[tuple[tuple[int, ...], ...]] | None:
     """Full orbit of a matrix under {add, swap, negate}, by breadth-first
-    search.  Returns None if the orbit exceeds max_states.
+    search.  Returns None if the orbit exceeds max_states.  Every entry
+    must lie in [0, d) for its column's modulus d (ValueError otherwise).
 
-    The unit operations act on the state tuples directly: each successor
-    shares every unchanged row with its parent."""
-    m = len(entries)
-    swaps = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    seen = {entries}
-    queue = deque([entries])
+    Each state is kept as one integer: entry (i, j) of an m x r matrix is
+    digit i*r + j of a mixed radix whose digits run through the column
+    moduli, row after row.  A successor is the popped state plus the change
+    its operation makes to the digits of one row (of two for a swap), so
+    row tuples are built only for the orbit returned."""
+    moduli = tuple(moduli)
+    for row in entries:
+        if len(row) != len(moduli) or not all(0 <= x < d for x, d in zip(row, moduli)):
+            raise ValueError(f"row {row} does not have reduced entries mod {moduli}")
+    m, r = len(entries), len(moduli)
+    radix = moduli * m
+    places = []
+    place = 1
+    for d in radix:
+        places.append(place)
+        place *= d
+    rows = [range(i * r, i * r + r) for i in range(m)]
+    adds = [(rows[a], rows[b]) for a in range(m) for b in range(m) if a != b]
+    swaps = [(rows[a], rows[b]) for a in range(m) for b in range(a + 1, m)]
+
+    def digits(state: int) -> list[int]:
+        out = []
+        for d in radix:
+            state, x = divmod(state, d)
+            out.append(x)
+        return out
+
+    start = sum(x * p for x, p in zip([x for row in entries for x in row], places))
+    seen = {start}
+    queue = deque([start])
     while queue:
         state = queue.popleft()
+        x = digits(state)
         successors = []
-        for a, row in enumerate(state):
-            head, tail = state[:a], state[a + 1 :]
-            successors.append(head + (tuple(-x % d for x, d in zip(row, moduli)),) + tail)
-            for b, other in enumerate(state):
-                if b != a:
-                    added = tuple((x + y) % d for x, y, d in zip(row, other, moduli))
-                    successors.append(head + (added,) + tail)
-        for a, b in swaps:
-            swapped = list(state)
-            swapped[a], swapped[b] = state[b], state[a]
-            successors.append(tuple(swapped))
+        for row in rows:  # -x mod d is d - x, or 0 for x = 0
+            delta = 0
+            for k in row:
+                if x[k]:
+                    delta += (radix[k] - 2 * x[k]) * places[k]
+            successors.append(state + delta)
+        for row, other in adds:  # x + y mod d drops d when x + y >= d
+            delta = 0
+            for k, l in zip(row, other):
+                delta += (x[l] - radix[k] if x[k] + x[l] >= radix[k] else x[l]) * places[k]
+            successors.append(state + delta)
+        for row, other in swaps:
+            delta = 0
+            for k, l in zip(row, other):
+                delta += (x[l] - x[k]) * (places[k] - places[l])
+            successors.append(state + delta)
         for nxt in successors:
             if nxt not in seen:
                 if len(seen) >= max_states:
                     return None
                 seen.add(nxt)
                 queue.append(nxt)
-    return frozenset(seen)
+    return frozenset(
+        tuple(tuple(x[k] for k in row) for row in rows) for x in map(digits, seen)
+    )
 
 
 _BITS = frozenset((0, 1))

@@ -17,9 +17,13 @@ separated by ``|`` form a candidate set, which is served only through the
 candidate API.  Every lookup either returns a tabulated group with its
 citation or raises a typed error -- never a guess.
 
+A line ``groups: NAME ...`` declares the families that are structure
+groups; `decompose` takes no group of any other family, so the stable
+stems ``S`` never stand in for a Lie group.
+
 The directory of table files can be overridden with the GAUGEKIT_TABLES
-environment variable; extension files simply add records, and a directory
-without any ``*.tbl`` file is an error.
+environment variable; extension files simply add records and group
+families, and a directory without any ``*.tbl`` file is an error.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import os
 import re
 from pathlib import Path
 from types import CodeType
+from typing import Iterable
 
 from .groups import FGAbelianGroup
 from .spaces import NAME
@@ -45,12 +50,16 @@ __all__ = [
 
 
 class NotTabulatedError(LookupError):
-    """A homotopy-group query outside the stored tables."""
+    """A homotopy-group query outside the stored tables, or (degree None)
+    a structure group of a family the tables do not declare."""
 
-    def __init__(self, space: str, degree: int, detail: str = ""):
+    def __init__(self, space: str, degree: int | None, detail: str = ""):
         self.space = space
         self.degree = degree
-        msg = f"pi_{degree}({space}) is not tabulated"
+        if degree is None:
+            msg = f"{space} is not in a structure-group family of the tables"
+        else:
+            msg = f"pi_{degree}({space}) is not tabulated"
         if detail:
             msg += f": {detail}"
         super().__init__(msg)
@@ -182,11 +191,28 @@ def _parse_record(line: str, source: str) -> TableEntry:
     return TableEntry(family, params, degree_spec, groups, validity, citation, condition)
 
 
-def _records(lines: list[str], source: str):
+_GROUPS = "groups:"
+
+
+def _records(lines: list[str], source: str) -> tuple[list[TableEntry], set[str]]:
+    """The records of one table text and the group families it declares."""
+    entries: list[TableEntry] = []
+    groups: set[str] = set()
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
-        if line and not line.startswith("#"):
-            yield _parse_record(line, f"{source}:{lineno}")
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith(_GROUPS):
+            names = line[len(_GROUPS):].split()
+            if not names:
+                raise ValueError(f"{source}:{lineno}: a groups line names no family")
+            for name in names:
+                if not NAME.fullmatch(name):
+                    raise ValueError(f"{source}:{lineno}: {name!r} is not a group family name")
+            groups.update(names)
+        else:
+            entries.append(_parse_record(line, f"{source}:{lineno}"))
+    return entries, groups
 
 
 # --- space-name parsing ----------------------------------------------------
@@ -237,12 +263,14 @@ class Tables:
     Each instance answers a (space, degree) query once: the record that
     answered is kept in a per-instance memo of at most _MEMO_CAP answers,
     so a repeated `pi` or `pi_candidates` is a dict lookup.  A query no
-    record answers is scanned and raises again every time."""
+    record answers is scanned and raises again every time.  `groups` are
+    the families declared to be structure groups."""
 
-    def __init__(self, entries: list[TableEntry]):
+    def __init__(self, entries: list[TableEntry], groups: Iterable[str] = ()):
         self._families: dict[str, list[TableEntry]] = {}
         for entry in entries:
             self._families.setdefault(entry.family, []).append(entry)
+        self.groups = frozenset(groups)
         self._memo: dict[tuple[str, int], TableEntry] = {}
 
     @classmethod
@@ -251,17 +279,28 @@ class Tables:
         if not paths:
             raise FileNotFoundError(f"no *.tbl table files in {directory}")
         entries: list[TableEntry] = []
+        groups: set[str] = set()
         for path in paths:
             try:
                 text = path.read_text(encoding="utf-8")
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-            entries.extend(_records(text.splitlines(), str(path)))
-        return cls(entries)
+            records, declared = _records(text.splitlines(), str(path))
+            entries.extend(records)
+            groups |= declared
+        return cls(entries, groups)
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "Tables":
-        return cls(list(_records(lines, "<inline>")))
+        return cls(*_records(lines, "<inline>"))
+
+    def require_group(self, group: str) -> None:
+        """Raise NotTabulatedError unless the family of `group` (`Sp` for
+        `Sp(3)`) is declared a structure group."""
+        if parse_space(group)[0] not in self.groups:
+            raise NotTabulatedError(
+                group, None, f"they declare {', '.join(sorted(self.groups)) or 'none'}"
+            )
 
     def _find(self, space: str, degree: int) -> TableEntry:
         key = (space, degree)

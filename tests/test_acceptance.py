@@ -296,7 +296,9 @@ def test_criterion_6_invariant_suites():
             assert normalize(denormalize(rng, canonical)) == canonical
 
     # (d) Wall-case factor bookkeeping: n <= 24, m <= 4, chi swept
-    synthetic = Tables.from_lines(["Gv, -, 1..60, 0, -, -, synthetic vanishing group"])
+    synthetic = Tables.from_lines(
+        ["groups: Gv", "Gv, -, 1..60, 0, -, -, synthetic vanishing group"]
+    )
     swept = 0
     for n in range(3, 25):
         d = WallManifold.of(n, [0]).modulus

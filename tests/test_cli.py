@@ -164,6 +164,19 @@ def test_not_tabulated_exits_3(tmp_path, capsys):
     assert "pi_11(E6)" in err
 
 
+@pytest.mark.parametrize("text", [WALL_E6, BUNDLE_JOB, N2_JOB, COMPLEX_JOB])
+def test_a_group_outside_the_declared_families_exits_3(tmp_path, capsys, text):
+    # S names the stable stems: the tables hold records for it, but do not
+    # declare it a structure-group family (a sphere bundle once exited 0)
+    text = text.replace("group: E6", "group: S").replace("group: E7", "group: S")
+    code, out, err = run(capsys, "decompose", write(tmp_path, "s.job", text))
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: not tabulated: S is not in a structure-group family of the tables: "
+        "they declare E6, E7, E8, Sp, Spin\n"
+    )
+
+
 def test_malformed_chi_exits_4(tmp_path, capsys):
     path = write(tmp_path, "bad.job", WALL_BAD_CHI)
     code, out, err = run(capsys, "decompose", path)
@@ -393,7 +406,7 @@ def test_tables_env_override(tmp_path, capsys, monkeypatch):
     tables_dir = tmp_path / "tables"
     tables_dir.mkdir()
     (tables_dir / "only.tbl").write_text(
-        "Gv, -, 1..40, 0, -, -, synthetic\n", encoding="utf-8"
+        "groups: Gv\nGv, -, 1..40, 0, -, -, synthetic\n", encoding="utf-8"
     )
     monkeypatch.setenv("GAUGEKIT_TABLES", str(tables_dir))
     path = write(tmp_path, "wall.job", WALL_E6)

@@ -157,6 +157,10 @@ def test_wall_hypothesis_and_table_failures():
         decompose(WallManifold.of(6, [0, 0]), "E6")
 
 
+# a synthetic structure group whose homotopy vanishes in every degree used
+GV_TABLE = ["groups: Gv", "Gv, -, 1..60, 0, -, -, synthetic vanishing group"]
+
+
 def test_wall_n2_unsupported():
     with pytest.raises(UnsupportedManifoldError):
         decompose(WallManifold.of(2, [0]), "E6")
@@ -167,7 +171,7 @@ def test_wall_case_consistency_away_from_2():
     # two-cell split: the bottom cell becomes one more loop factor
     for n in (9, 10, 17, 18):
         M = WallManifold.of(n, [1, 0, 1])
-        synthetic = Tables.from_lines(["Gv, -, 1..60, 0, -, -, synthetic vanishing group"])
+        synthetic = Tables.from_lines(GV_TABLE)
         d_int = decompose(M, "Gv", (), synthetic)
         d_away = decompose(M, "Gv", [2], synthetic)
         base = gauge_factors(d_int)[0].base
@@ -181,7 +185,7 @@ def test_wall_case_consistency_away_from_2():
 
 
 def test_wall_factor_bookkeeping_small():
-    synthetic = Tables.from_lines(["Gv, -, 1..60, 0, -, -, synthetic vanishing group"])
+    synthetic = Tables.from_lines(GV_TABLE)
     rng = random.Random(21)
     for n in range(3, 13):
         d = WallManifold.of(n, [0]).modulus
@@ -225,7 +229,7 @@ _AQ = "stable J-image orders after Adams (1966) and Quillen (1971)"
     ],
 )
 def test_wall_theorem_text_of_every_branch(n, chi, ap, group, away, splits, theorem):
-    tables = Tables.from_lines(["Gv, -, 1..60, 0, -, -, synthetic vanishing group"])
+    tables = Tables.from_lines(GV_TABLE)
     M = WallManifold.of(n, chi, ap)
     dec = decompose(M, group, away, None if group == "E8" else tables)
     assert dec.theorem_used == _WALL + theorem
@@ -552,7 +556,7 @@ def test_n2_suspension_matches_gauge_counts():
 
 def test_dispatch_totality():
     rng = random.Random(31)
-    synthetic = Tables.from_lines(["Gv, -, 1..60, 0, -, -, synthetic vanishing group"])
+    synthetic = Tables.from_lines(GV_TABLE)
     specs = []
     for _ in range(120):
         kind = rng.randrange(4)

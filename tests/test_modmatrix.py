@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import tracemalloc
 from math import isqrt
 from pathlib import Path
 
@@ -388,15 +389,22 @@ def test_rowop_orbit_engine_matches_oracle():
 
 def test_rowop_orbit_matches_list_copy_search_and_cap_rule():
     # small multi-column matrices and chains; each orbit is also searched
-    # with the cap at its exact size (found) and one below it (None)
+    # with the cap at its exact size (found) and one below it (None).  The
+    # packed search's radix spans the rows and the moduli, so four-row and
+    # three-modulus inputs with orbits under the cap are added by hand
     rng = random.Random(7)
-    chains = [(5,), (8,), (12,), (24,), (2, 4), (3, 6), (2, 2), (4, 8), (2, 4, 8)]
+    chains = [(5,), (8,), (12,), (24,), (2, 4), (3, 6), (2, 2), (4, 8), (2, 4, 8), (2, 6, 12)]
+    cases = [
+        (tuple(tuple(rng.randrange(d) for d in moduli) for _ in range(rng.randint(1, 4))), moduli)
+        for moduli in (rng.choice(chains) for _ in range(80))
+    ] + [
+        (((1, 0, 0), (0, 3, 0), (0, 0, 0), (0, 0, 0)), (2, 6, 12)),  # 210 states
+        (((0, 2, 4), (0, 0, 0), (0, 4, 8), (0, 0, 0)), (2, 6, 12)),  # 80
+        (((1, 5, 11), (0, 0, 0)), (2, 6, 12)),  # 96
+        (((1,), (2,), (0,), (3,)), (4,)),  # 240
+    ]
     capped = exact = 0
-    for _ in range(80):
-        moduli = rng.choice(chains)
-        entries = tuple(
-            tuple(rng.randrange(d) for d in moduli) for _ in range(rng.randint(1, 3))
-        )
+    for entries, moduli in cases:
         full = listcopy_rowop_orbit(entries, moduli, 3000)
         assert rowop_orbit(entries, moduli, 3000) == full, (entries, moduli)
         if full is None:
@@ -409,6 +417,27 @@ def test_rowop_orbit_matches_list_copy_search_and_cap_rule():
             assert rowop_orbit(entries, moduli, n - 1) is None
             assert listcopy_rowop_orbit(entries, moduli, n - 1) is None
     assert capped >= 5 and exact >= 20, (capped, exact)
+
+
+def test_capped_orbit_search_keeps_one_integer_a_state():
+    # the CLI's largest --trace search: it gives up at 50,000 states
+    tracemalloc.start()
+    try:
+        assert rowop_orbit(((7,), (53,), (91,)), (120,)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000, peak
+
+
+@pytest.mark.parametrize(
+    "entries, moduli",
+    [(((8,),), (8,)), (((-1,),), (8,)), (((0,), (1, 3)), (2, 4)), (((1, 2),), (4,))],
+)
+def test_rowop_orbit_rejects_entries_outside_their_moduli(entries, moduli):
+    # an entry must be a reduced residue of its column, never reduced here
+    with pytest.raises(ValueError, match="does not have reduced entries mod"):
+        rowop_orbit(entries, moduli)
 
 
 def test_rank_f2_examples():

@@ -153,6 +153,7 @@ def test_every_ranked_group_name_resolves_to_its_family_and_rank():
 
 def test_families_with_digits_or_underscores_answer_ranked_names():
     t = Tables.from_lines([
+        "groups: Sp2",
         "Sp2, r, 4..5, 0, -, r >= 2, a family named with a digit",
         "Sp2, r, 9, 1, -, r >= 2, a family named with a digit",
         "Spin_x, r, 3..5, 0, 2, -, a family named with an underscore",
@@ -163,6 +164,32 @@ def test_families_with_digits_or_underscores_answer_ranked_names():
         t.pi("Sp2(1)", 9)
     d = decompose(WallManifold.of(5, [0, 0]), "Sp2(3)", tables=t)
     assert render_text(d.gauge) == "G_k(S^10) x Omega^5 Sp2(3) x Omega^5 Sp2(3)"
+
+
+def test_only_declared_families_are_structure_groups():
+    records = ["Gv, -, 1..60, 0, -, -, synthetic vanishing group"]
+    wall = WallManifold.of(5, [0, 0])
+    with pytest.raises(NotTabulatedError) as err:
+        decompose(wall, "Gv", tables=Tables.from_lines(records))
+    assert (err.value.space, err.value.degree) == ("Gv", None)
+    assert str(err.value) == (
+        "Gv is not in a structure-group family of the tables: they declare none"
+    )
+    t = Tables.from_lines(["groups: Gv Gw", *records])
+    assert t.groups == {"Gv", "Gw"}
+    assert render_text(decompose(wall, "Gv", tables=t).gauge).endswith("Omega^5 Gv")
+    # a ranked name is checked by its family; the records still decide the rest
+    for group in ("Gv(3)", "S", "Sp(3)"):
+        with pytest.raises(NotTabulatedError):
+            decompose(wall, group, tables=t)
+    for line, message in [
+        ("groups:", "<inline>:1: a groups line names no family"),
+        ("groups: E6 S^n", "<inline>:1: 'S^n' is not a group family name"),
+        ("groups: mod", "<inline>:1: 'mod' is not a group family name"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            Tables.from_lines([line])
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("space, degree", [("E6(3)", 9), ("S(3)", 3), ("Sp", 3), ("E6(3)", 4)])
@@ -247,11 +274,12 @@ def test_compiled_conditions_agree_with_reference_evaluator():
         line
         for path in DATA_DIR.glob("*.tbl")
         for line in path.read_text(encoding="utf-8").splitlines()
-        if line.strip() and not line.startswith("#")
+        if line.strip() and not line.startswith(("#", "groups:"))
     ]
     tables = Tables.from_dir(DATA_DIR)
     entries = [entry for family in tables._families.values() for entry in family]
     assert len(entries) == len(records)
+    assert tables.groups == {"E6", "E7", "E8", "Sp", "Spin"}
     for entry in entries:
         for values in itertools.product(range(25), repeat=len(entry.params)):
             params = dict(zip(entry.params, values))
@@ -366,7 +394,8 @@ def test_memo_never_exceeds_its_cap():
 
 
 def test_a_repeated_decomposition_tests_no_record(monkeypatch):
-    entries = [entry for family in default_tables()._families.values() for entry in family]
+    packaged = default_tables()
+    entries = [entry for family in packaged._families.values() for entry in family]
     tested = []
     matches = TableEntry.matches
     monkeypatch.setattr(TableEntry, "matches", lambda self, *a: tested.append(1) or matches(self, *a))
@@ -377,7 +406,7 @@ def test_a_repeated_decomposition_tests_no_record(monkeypatch):
         (GeneralComplex(6, AttachingMatrix.from_rows([[2], [3], [0]], [24])), "E7", {5}),
     ]
     for spec, group, away in jobs:
-        tables = Tables(entries)
+        tables = Tables(entries, packaged.groups)
         first = decompose(spec, group, away, tables)
         assert tested
         tested.clear()
